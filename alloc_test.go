@@ -16,29 +16,30 @@ import (
 )
 
 // TestSubmitSteadyStateAllocationFree asserts the tentpole contract
-// directly: once the pipeline's job pool and arenas have grown to the
-// workload's high-water mark, submitting a batch — deep copy, routing,
-// shard classification, sink apply — performs (amortized) at most one
-// allocation per batch. The slack of 1 absorbs sync.Pool's GC-driven
-// refills; the structural claim is that nothing on the path allocates
-// per event or per batch.
+// directly: once the pipeline's jobs and the batch pool have grown to
+// the workload's high-water mark, submitting a batch — hand-over,
+// routing, shard classification, sink apply, release — performs
+// (amortized) at most one allocation per batch. The slack of 1 absorbs
+// the batch pool's GC-driven refills; the structural claim is that
+// nothing on the path allocates per event or per batch.
 func TestSubmitSteadyStateAllocationFree(t *testing.T) {
 	const batchSize = 256
 	evs := pipelineWorkload(8192)
 	det := core.NewDetector(pipelineBenchConfig(t))
 	pl := core.NewPipeline(det, nil, core.PipelineConfig{Shards: 4})
 	defer pl.Close()
+	batches := newBatchSource(evs)
 
 	// Warm up: grow every pooled arena (and raise every alert the dedup
 	// will suppress from then on).
 	for off := 0; off+batchSize <= len(evs); off += batchSize {
-		pl.Submit(evs[off : off+batchSize])
+		pl.Submit(batches.get(off, batchSize))
 	}
 	pl.Flush()
 
 	off := 0
 	avg := testing.AllocsPerRun(100, func() {
-		pl.Submit(evs[off : off+batchSize])
+		pl.Submit(batches.get(off, batchSize))
 		off = (off + batchSize) % len(evs)
 		pl.Flush()
 	})
@@ -66,15 +67,16 @@ func TestSubmitSteadyStateAllocationFreeMultiTenant(t *testing.T) {
 	}
 	pl := core.NewPipelineTable(table, core.PipelineConfig{Shards: 4})
 	defer pl.Close()
+	batches := newBatchSource(evs)
 
 	for off := 0; off+batchSize <= len(evs); off += batchSize {
-		pl.Submit(evs[off : off+batchSize])
+		pl.Submit(batches.get(off, batchSize))
 	}
 	pl.Flush()
 
 	off := 0
 	avg := testing.AllocsPerRun(100, func() {
-		pl.Submit(evs[off : off+batchSize])
+		pl.Submit(batches.get(off, batchSize))
 		off = (off + batchSize) % len(evs)
 		pl.Flush()
 	})
@@ -89,9 +91,9 @@ func TestSubmitSteadyStateAllocationFreeMultiTenant(t *testing.T) {
 }
 
 // TestIngestSteadyStateAllocationFree asserts the same contract for the
-// supervised fan-in path: hub publish → pooled queue copy → ring →
-// dedup → pipeline. The in-process source delivers synchronously here so
-// AllocsPerRun observes the whole path on one goroutine.
+// supervised fan-in path: hub publish → the one copy at the hub boundary
+// → dedup → pipeline. The in-process source delivers synchronously here
+// so AllocsPerRun observes the whole path on one goroutine.
 func TestIngestSteadyStateAllocationFree(t *testing.T) {
 	const batchSize = 256
 	evs := pipelineWorkload(8192)
@@ -148,9 +150,9 @@ func TestRecordSteadyStateAllocationFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rec.Close()
-	deliver := func(evs []feedtypes.Event) {
-		pl.Submit(evs)
-		rec.Record(evs)
+	deliver := func(b *feedtypes.Batch) {
+		rec.Record(b.Events)
+		pl.Submit(b)
 	}
 	sup := ingest.New(deliver, ingest.Config{Synchronous: true, DedupTTL: -1})
 	defer sup.Close()

@@ -3,16 +3,18 @@
 // The simulated Internet runs paced against the wall clock (compressed
 // 60x) while real servers expose it: a RIS-style WebSocket stream, a
 // BGPmon-style XML TCP stream, and an ONOS-style REST controller. An
-// ARTEMIS instance connects to those servers as a *client* — exactly how
-// the daemon would run against external infrastructure: the ingest
-// supervisor owns both connections (reconnect, cross-source dedup,
-// per-source accounting), fans them into the sharded detection pipeline,
-// and mitigation flows back through the controller's REST API.
+// ARTEMIS node (pkg/artemis, the same assembly artemisd runs) connects to
+// those servers as a *client* — exactly how the daemon would run against
+// external infrastructure: its ingest supervisor owns both connections
+// (reconnect, cross-source dedup, per-source accounting), fans them into
+// the sharded detection pipeline, and mitigation flows back through the
+// controller's REST API.
 //
 //	go run ./examples/live-feeds
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"net"
@@ -22,16 +24,14 @@ import (
 
 	"artemis/internal/bgp"
 	"artemis/internal/controller"
-	"artemis/internal/core"
 	"artemis/internal/feeds/bgpmon"
-	"artemis/internal/feeds/feedtypes"
 	"artemis/internal/feeds/ris"
-	"artemis/internal/ingest"
 	"artemis/internal/peering"
 	"artemis/internal/prefix"
 	"artemis/internal/sim"
 	"artemis/internal/simnet"
 	"artemis/internal/topo"
+	"artemis/pkg/artemis"
 )
 
 func main() {
@@ -87,37 +87,31 @@ func main() {
 	go ctrlHTTP.Serve(ctrlLn)
 
 	// --- ARTEMIS as a pure network client ---
-	// The local controller handle is only used for timestamps; route
-	// injection goes through REST like a remote daemon would.
-	restInj := controller.NewRESTClient("http://" + ctrlLn.Addr().String())
+	// The node dials both feed servers (redialing them if they drop,
+	// deduplicating route changes both feeds observe) and injects routes
+	// through the controller's REST API like a remote daemon would. Its
+	// clock and the controller's configuration latency (15s) follow the
+	// sim's 60x compression.
 	start := time.Now()
 	simNow := func() time.Duration { return time.Duration(float64(time.Since(start)) * scale) }
-	remoteCtrl := controller.NewReal(restInj, controller.WithConfigDelay(time.Duration(15*float64(time.Second)/scale)))
-	artemis, err := core.NewService(&core.Config{
-		OwnedPrefixes: []prefix.Prefix{owned},
-		LegitOrigins:  []bgp.ASN{victim.ASN},
-	}, remoteCtrl, simNow)
+	node, err := artemis.New(&artemis.Config{
+		Prefixes: []string{owned.String()},
+		Origins:  []uint32{uint32(victim.ASN)},
+		Sources: []artemis.SourceSpec{
+			{Type: artemis.SourceRIS, URL: "ws://" + risLn.Addr().String() + "/v1/ws"},
+			{Type: artemis.SourceBGPmon, Addr: bmonSrv.Addr()},
+		},
+		Mitigation: artemis.MitigationConfig{
+			Controller:  "http://" + ctrlLn.Addr().String(),
+			ConfigDelay: artemis.Duration(time.Duration(15 * float64(time.Second) / scale)),
+		},
+	}, artemis.WithNow(simNow), artemis.WithLogf(func(string, ...any) {}))
 	if err != nil {
 		log.Fatal(err)
 	}
-	// The supervised ingest tier dials both servers, redials them if they
-	// drop, dedups route changes the two feeds both observe, and fans
-	// everything into the sharded pipeline.
-	pl := core.NewPipeline(artemis.Detector, artemis.Monitor, core.PipelineConfig{})
-	defer pl.Close()
-	sup := ingest.New(pl.Submit, ingest.Config{})
-	defer sup.Close()
-	filter := feedtypes.Filter{Prefixes: []prefix.Prefix{owned}, MoreSpecific: true, LessSpecific: true}
-	sup.AddDialer("ris[0]", ingest.RISDialer("ws://"+risLn.Addr().String()+"/v1/ws", filter))
-	sup.AddDialer("bgpmon[0]", ingest.BGPmonDialer(bmonSrv.Addr(), filter))
-
-	alerted := make(chan core.Alert, 1)
-	artemis.Detector.OnAlert(func(a core.Alert) {
-		select {
-		case alerted <- a:
-		default:
-		}
-	})
+	alerts := node.Subscribe(artemis.KindAlert, 4)
+	go node.Run(context.Background())
+	defer node.Drain()
 
 	// --- Script: announce, hijack ---
 	fmt.Println("feeds live:")
@@ -133,9 +127,10 @@ func main() {
 	go eng.RunPaced(scale, 20*time.Minute, 2*time.Second)
 
 	select {
-	case a := <-alerted:
+	case ev := <-alerts.C:
+		a := ev.Alert
 		fmt.Printf("[sim %v] ARTEMIS alert over the wire: %s hijack of %s by AS%d (via %s)\n",
-			a.DetectedAt.Round(time.Second), a.Type, a.Prefix, a.Origin, a.Evidence.Source)
+			a.DetectedAt.Std().Round(time.Second), a.Type, a.Prefix, a.Origin, a.Source)
 	case <-time.After(60 * time.Second):
 		log.Fatal("no alert within a minute of wall time")
 	}
@@ -158,7 +153,7 @@ func main() {
 	}
 	fmt.Printf("[sim ~%v] controller applied mitigation: %s\n", eng.Now().Round(time.Second), strings.Join(names, ", "))
 	eng.Stop()
-	for _, src := range sup.Snapshot().Sources {
+	for _, src := range node.Health().Sources {
 		fmt.Printf("  ingest %-10s %-8s events=%d dedup=%d reconnects=%d\n",
 			src.Name, src.State, src.Events, src.DedupHits, src.Reconnects)
 	}

@@ -106,7 +106,6 @@ type Detector struct {
 	seen     *ttlset.Set[incidentKey]
 	alerts   []Alert
 	handlers []func(Alert)
-	cancels  []func()
 	// perSource counts matching events per source name (diagnostics and
 	// the E2 per-source experiment). Cardinality is bounded: beyond
 	// maxTrackedSources distinct names, counts fold into "other".
@@ -121,7 +120,8 @@ const maxTrackedSources = 64
 // otherSources is the overflow bucket once maxTrackedSources is reached.
 const otherSources = "other"
 
-// NewDetector builds the service; call Start to attach sources.
+// NewDetector builds the detector; feed it through Process, ProcessBatch
+// or a Pipeline.
 func NewDetector(cfg *Config) *Detector {
 	d := &Detector{
 		seen:      ttlset.New[incidentKey](cfg.AlertDedupTTL, cfg.AlertDedupMax),
@@ -153,33 +153,6 @@ func (d *Detector) OnAlert(fn func(Alert)) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.handlers = append(d.handlers, fn)
-}
-
-// Start subscribes to the sources with a filter covering the owned space
-// in both directions (sub- and super-prefixes).
-func (d *Detector) Start(sources ...feedtypes.Source) {
-	filter := feedtypes.Filter{
-		Prefixes:     d.Config().OwnedPrefixes,
-		MoreSpecific: true,
-		LessSpecific: true,
-	}
-	for _, src := range sources {
-		cancel := src.Subscribe(filter, d.Process)
-		d.mu.Lock()
-		d.cancels = append(d.cancels, cancel)
-		d.mu.Unlock()
-	}
-}
-
-// Stop detaches from all sources.
-func (d *Detector) Stop() {
-	d.mu.Lock()
-	cancels := d.cancels
-	d.cancels = nil
-	d.mu.Unlock()
-	for _, c := range cancels {
-		c()
-	}
 }
 
 // classify is the pure (stateless, lock-free) detection stage: it decides

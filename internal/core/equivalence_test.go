@@ -125,7 +125,7 @@ func TestSerialPipelineMitigationEquivalence(t *testing.T) {
 			p := NewPipeline(pipeDet, pipeMon, PipelineConfig{Shards: 4, QueueDepth: 4})
 			for i := 0; i < len(evs); i += 41 { // uneven batch boundaries
 				end := min(i+41, len(evs))
-				p.Submit(evs[i:end])
+				p.Submit(batchOf(evs[i:end]))
 			}
 			p.Close()
 			pipeQ.Close()

@@ -35,9 +35,9 @@ func TestAsyncMitigationDoesNotStallSink(t *testing.T) {
 		}
 	}
 	// Three distinct incidents: three alerts enqueue behind the gate.
-	p.Submit([]feedtypes.Event{mk("10.0.0.0/23", 666)})
-	p.Submit([]feedtypes.Event{mk("10.1.0.0/22", 777)})
-	p.Submit([]feedtypes.Event{mk("192.0.2.0/24", 888)})
+	p.Submit(batchOf([]feedtypes.Event{mk("10.0.0.0/23", 666)}))
+	p.Submit(batchOf([]feedtypes.Event{mk("10.1.0.0/22", 777)}))
+	p.Submit(batchOf([]feedtypes.Event{mk("192.0.2.0/24", 888)}))
 	// Flush returns even though no alert has been handled: the sink only
 	// enqueues. With the pre-queue inline handler this would hang forever.
 	p.Flush()
@@ -46,7 +46,7 @@ func TestAsyncMitigationDoesNotStallSink(t *testing.T) {
 		t.Fatalf("enqueued %d handled %d before gate opened, want 3/0", snap.Enqueued, snap.Handled)
 	}
 	// Throughput continues while mitigation is stuck.
-	p.Submit(mixedEvents(200))
+	p.Submit(batchOf(mixedEvents(200)))
 	p.Flush()
 	p.Close()
 

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"artemis/internal/bgp"
 	"artemis/internal/feeds/feedtypes"
 	"artemis/internal/prefix"
 	"artemis/internal/ring"
@@ -32,13 +31,11 @@ import (
 // case; its observable behavior is unchanged.
 //
 // The steady-state path is allocation-free (docs/PERFORMANCE.md): jobs
-// are recycled through a sync.Pool, each job deep-copies the submitted
-// batch (events and AS paths) into its own reused backing arrays, the
-// per-shard queues are fixed-size SPSC rings (internal/ring), and the
-// router amortizes trie lookups over runs of equal prefixes by sorting
-// each batch by identity hash. The submitted batch is therefore owned by
-// the caller again the moment Submit returns — feeds recycle theirs
-// through a feedtypes.BatchPool.
+// are recycled through a bounded free list, each job takes ownership of
+// the submitted pooled batch instead of copying it and releases it once
+// the sink has applied it, the per-shard queues are fixed-size SPSC rings
+// (internal/ring), and the router amortizes trie lookups over runs of
+// equal prefixes by sorting each batch by identity hash.
 //
 // Backpressure is explicit end to end: shard rings and the completion
 // channel are bounded, so when the sink (or a slow alert handler) falls
@@ -63,9 +60,11 @@ type Pipeline struct {
 	shards []*shard
 	done   chan *batchJob
 
-	// jobs recycles batchJobs (and all their backing arrays) between
-	// submissions; the sink releases each job after applying it.
-	jobs sync.Pool
+	// jobs is the free list of batchJobs (and all their backing arrays);
+	// the sink returns each job after applying it. Unlike a sync.Pool it
+	// keeps its jobs across garbage collections, so a burst's jobs do not
+	// have to regrow their arenas. Its capacity bounds what it retains.
+	jobs chan *batchJob
 
 	// life guards the submit/close race: submitters hold it shared while
 	// assigning a sequence number and enqueueing, Close takes it exclusive
@@ -80,9 +79,6 @@ type Pipeline struct {
 	// Flush waiters.
 	applyMu   sync.Mutex
 	applyCond *sync.Cond
-
-	cancels  []func()
-	cancelMu sync.Mutex
 
 	workers  sync.WaitGroup
 	sinkDone chan struct{}
@@ -101,11 +97,6 @@ type PipelineConfig struct {
 	// Submit blocks (default 128; rounded up to a power of two by the
 	// ring buffer).
 	QueueDepth int
-	// Synchronous makes Start subscribe with SubmitWait, so a feed's
-	// publish call returns only after its batch is fully applied. The
-	// virtual-time experiments need this: the simulation engine must
-	// observe alerts as soon as the event that caused them is delivered.
-	Synchronous bool
 }
 
 func (c PipelineConfig) withDefaults() PipelineConfig {
@@ -159,12 +150,10 @@ type batchJob struct {
 	// swap, when non-nil, marks a reconfiguration barrier: the job carries
 	// no events and the sink runs swap() at the job's sequence position.
 	swap func()
-	// events is the job's own deep copy of the submitted batch; paths is
-	// the flat arena its events' Path slices alias, so the caller's batch
-	// (typically a pooled feed batch) is released the moment submit
-	// returns.
-	events []feedtypes.Event
-	paths  []bgp.ASN
+	// batch is the submitted batch — the events the job routes and
+	// classifies — owned by the job from Submit until finish releases it
+	// after the sink applied it.
+	batch *feedtypes.Batch
 	// matches is the flat arena of per-event tenant matches: event i's
 	// matches are matches[matchOff[i] : matchOff[i]+matchN[i]], at most
 	// one per tenant (that tenant's LPM, or its config-order squat).
@@ -322,17 +311,13 @@ refs:
 	return true
 }
 
-// reset prepares a pooled job for reuse, keeping every backing array.
+// reset prepares a free job for reuse, keeping every backing array.
 func (j *batchJob) reset(nshards int) {
 	j.seq = 0
 	j.table = nil
 	j.swap = nil
 	j.wait = nil
-	// Drop references held by the previous batch's events so the pool
-	// does not pin source strings; the arena itself is reused.
-	clear(j.events)
-	j.events = j.events[:0]
-	j.paths = j.paths[:0]
+	j.batch = nil
 	j.matches = j.matches[:0]
 	j.matchOff = j.matchOff[:0]
 	j.matchN = j.matchN[:0]
@@ -404,7 +389,10 @@ func NewPipelineTable(table *PolicyTable, cfg PipelineConfig) *Pipeline {
 		sinkDone:  make(chan struct{}),
 		sinkApply: stats.NewHistogram(),
 	}
-	p.jobs.New = func() any { return new(batchJob) }
+	// Sized to what the shard rings and the completion channel hold, so
+	// the list covers the bursts the pipeline admits; a job returned to a
+	// full list is left to the garbage collector.
+	p.jobs = make(chan *batchJob, cfg.Shards*cfg.QueueDepth+cap(p.done))
 	p.applyCond = sync.NewCond(&p.applyMu)
 	for i := 0; i < cfg.Shards; i++ {
 		s := &shard{in: ring.New[shardTask](cfg.QueueDepth), service: stats.NewHistogram()}
@@ -422,32 +410,6 @@ func (p *Pipeline) Table() *PolicyTable {
 	p.life.RLock()
 	defer p.life.RUnlock()
 	return p.table
-}
-
-// shardFor routes a prefix to its shard: events matching the same owned
-// prefix always land on the same shard; events matching nothing hash over
-// all shards (classification drops them; any shard may do it). Routing is
-// a pure function of the prefix and the active policy snapshot — the
-// quota filter runs after shard choice and never moves an event.
-func (p *Pipeline) shardFor(pfx prefix.Prefix) int {
-	p.life.RLock()
-	defer p.life.RUnlock()
-	job := p.jobs.Get().(*batchJob)
-	job.reset(len(p.shards))
-	job.table = p.table
-	mc := &job.mc
-	mc.init(job)
-	mc.pfx, mc.base = pfx, 0
-	p.table.trie.Supernets(pfx, mc.supFn)
-	mc.lpmEnd = int32(len(job.matches))
-	p.table.trie.CoveredBy(pfx, mc.covFn)
-	s := hashPrefix(pfx) % len(p.shards)
-	if len(job.matches) > 0 {
-		s = int(job.matches[0].ownedIdx) % len(p.shards)
-	}
-	job.reset(len(p.shards))
-	p.jobs.Put(job)
-	return s
 }
 
 // hashPrefix is FNV-1a over the full dual-stack prefix identity (128
@@ -479,7 +441,7 @@ const routeKeyIdxBits = 20
 // per-batch trie work shrinks from O(events) to O(distinct prefixes).
 // Called under p.life held shared.
 func (p *Pipeline) routeBatch(job *batchJob, nshards int) {
-	n := len(job.events)
+	n := len(job.batch.Events)
 	job.matchOff = append(job.matchOff[:0], make([]int32, n)...)
 	job.matchN = append(job.matchN[:0], make([]int32, n)...)
 	job.shardOf = append(job.shardOf[:0], make([]uint8, n)...)
@@ -488,14 +450,14 @@ func (p *Pipeline) routeBatch(job *batchJob, nshards int) {
 		// prefixes cannot share a routing result; batches too large to pack
 		// indices into the sort key (never hit by real feeds: flushes are
 		// bounded at a few hundred events) route event-by-event too.
-		for i := range job.events {
+		for i := range job.batch.Events {
 			p.routeOne(job, i, nshards)
 		}
 		return
 	}
 	job.keys = job.keys[:0]
-	for i := range job.events {
-		k := prefix.FoldIdentity(fnvOffset, job.events[i].Prefix)
+	for i := range job.batch.Events {
+		k := prefix.FoldIdentity(fnvOffset, job.batch.Events[i].Prefix)
 		job.keys = append(job.keys, k&^uint64(1<<routeKeyIdxBits-1)|uint64(i))
 	}
 	slices.Sort(job.keys)
@@ -506,10 +468,10 @@ func (p *Pipeline) routeBatch(job *batchJob, nshards int) {
 		}
 		head := int(job.keys[a] & (1<<routeKeyIdxBits - 1))
 		p.routeOne(job, head, nshards)
-		headPfx := job.events[head].Prefix
+		headPfx := job.batch.Events[head].Prefix
 		for k := a + 1; k < bEnd; k++ {
 			i := int(job.keys[k] & (1<<routeKeyIdxBits - 1))
-			if job.events[i].Prefix == headPfx {
+			if job.batch.Events[i].Prefix == headPfx {
 				job.matchOff[i] = job.matchOff[head]
 				job.matchN[i] = job.matchN[head]
 				job.shardOf[i] = job.shardOf[head]
@@ -531,7 +493,7 @@ func (p *Pipeline) routeBatch(job *batchJob, nshards int) {
 func (p *Pipeline) routeOne(job *batchJob, i, nshards int) {
 	mc := &job.mc
 	mc.init(job)
-	mc.pfx = job.events[i].Prefix
+	mc.pfx = job.batch.Events[i].Prefix
 	mc.base = int32(len(job.matches))
 	t := job.table
 	t.trie.Supernets(mc.pfx, mc.supFn)
@@ -549,7 +511,7 @@ func (p *Pipeline) routeOne(job *batchJob, i, nshards int) {
 	}
 	if t.quotas {
 		kept := mc.base
-		now := job.events[i].EmittedAt
+		now := job.batch.Events[i].EmittedAt
 		for k := mc.base; k < int32(len(job.matches)); k++ {
 			m := job.matches[k]
 			e := &t.entries[m.tenant]
@@ -566,41 +528,43 @@ func (p *Pipeline) routeOne(job *batchJob, i, nshards int) {
 	job.matchN[i] = int32(len(job.matches)) - mc.base
 }
 
-// Submit ingests one batch asynchronously. The batch is deep-copied
-// (events and AS paths), so the caller owns it again — and may release
-// it to its pool — the moment Submit returns. Submit blocks only for
-// backpressure (a full shard ring). Batches submitted from one goroutine
-// are applied in submission order; no order is defined across
+// Submit ingests one batch asynchronously and takes ownership of it: the
+// pipeline reads the batch until its sink has applied it, then releases
+// it (an empty batch, or one submitted after Close, is released at
+// once). The caller must not touch b after Submit. Submit blocks only
+// for backpressure (a full shard ring). Batches submitted from one
+// goroutine are applied in submission order; no order is defined across
 // goroutines.
-func (p *Pipeline) Submit(batch []feedtypes.Event) {
-	p.submit(batch, false)
+func (p *Pipeline) Submit(b *feedtypes.Batch) {
+	p.submit(b, false)
 }
 
 // SubmitWait ingests one batch and returns after the sink has fully
-// applied it — alerts committed, handlers run, monitor folded. The batch
-// ownership contract matches Submit's.
-func (p *Pipeline) SubmitWait(batch []feedtypes.Event) {
-	p.submit(batch, true)
+// applied it — alerts committed, handlers run, monitor folded — and
+// released it. It takes ownership of b like Submit.
+func (p *Pipeline) SubmitWait(b *feedtypes.Batch) {
+	p.submit(b, true)
 }
 
-func (p *Pipeline) submit(batch []feedtypes.Event, wait bool) {
-	if len(batch) == 0 {
+// getJob takes a job from the free list, or makes one.
+func (p *Pipeline) getJob() *batchJob {
+	select {
+	case j := <-p.jobs:
+		return j
+	default:
+		return new(batchJob)
+	}
+}
+
+func (p *Pipeline) submit(b *feedtypes.Batch, wait bool) {
+	if len(b.Events) == 0 {
+		b.Release()
 		return
 	}
 	nshards := len(p.shards)
-	job := p.jobs.Get().(*batchJob)
+	job := p.getJob()
 	job.reset(nshards)
-	// Deep-copy the batch: events into the job's reused slice, each AS
-	// path into the job's flat arena. From here on nothing references the
-	// caller's storage.
-	job.events = append(job.events, batch...)
-	for i := range job.events {
-		if path := job.events[i].Path; len(path) > 0 {
-			start := len(job.paths)
-			job.paths = append(job.paths, path...)
-			job.events[i].Path = job.paths[start:len(job.paths):len(job.paths)]
-		}
-	}
+	job.batch = b
 	var waitCh chan struct{}
 	if wait {
 		waitCh = make(chan struct{})
@@ -613,7 +577,9 @@ func (p *Pipeline) submit(batch []feedtypes.Event, wait bool) {
 	p.life.RLock()
 	if p.closed {
 		p.life.RUnlock()
-		return // shut down: the batch is dropped, as a detached source's would be
+		// Shut down: the batch is dropped, as a detached source's would be.
+		p.putJob(job)
+		return
 	}
 	job.table = p.table
 	// Route every event once per distinct prefix (routeBatch), then
@@ -623,7 +589,7 @@ func (p *Pipeline) submit(batch []feedtypes.Event, wait bool) {
 	for _, s := range job.shardOf {
 		job.sizes[s]++
 	}
-	job.backing = append(job.backing[:0], make([]int32, len(batch))...)
+	job.backing = append(job.backing[:0], make([]int32, len(b.Events))...)
 	tasks := 0
 	var off int32
 	for s := 0; s < nshards; s++ {
@@ -646,7 +612,7 @@ func (p *Pipeline) submit(batch []feedtypes.Event, wait bool) {
 
 	job.seq = p.nextSeq.Add(1) - 1
 	p.submitted.Inc()
-	p.events.Add(int64(len(batch)))
+	p.events.Add(int64(len(b.Events)))
 	for s := 0; s < nshards; s++ {
 		if job.sizes[s] > 0 {
 			t := shardTask{
@@ -693,7 +659,7 @@ func (p *Pipeline) work(idx int, s *shard) {
 		counts := t.job.counts[t.shard][:0]
 		alerts := t.job.alerts[t.shard][:0]
 		for _, i := range t.idxs {
-			ev := &t.job.events[i]
+			ev := &t.job.batch.Events[i]
 			off, n := t.job.matchOff[i], t.job.matchN[i]
 			if n == 0 {
 				if single {
@@ -790,26 +756,26 @@ func (p *Pipeline) apply(j *batchJob) {
 		// tenant counter tracks matched events.
 		e := &table.entries[0]
 		matched := 0
-		for i := range j.events {
+		for i := range j.batch.Events {
 			if j.matchN[i] > 0 {
 				matched++
 			}
 		}
 		e.rt.events.Add(int64(matched))
 		if e.mon != nil {
-			e.mon.ProcessBatch(j.events)
+			e.mon.ProcessBatch(j.batch.Events)
 		}
 	} else {
 		// Multi-tenant: each tenant's monitor folds exactly the events that
 		// matched that tenant — the stream an independent per-tenant
 		// instance would have received from its own feed filter.
-		for i := range j.events {
+		for i := range j.batch.Events {
 			off, n := j.matchOff[i], j.matchN[i]
 			for _, m := range j.matches[off : off+n] {
 				e := &table.entries[m.tenant]
 				e.rt.events.Inc()
 				if e.mon != nil {
-					e.mon.Process(j.events[i])
+					e.mon.Process(j.batch.Events[i])
 				}
 			}
 		}
@@ -825,12 +791,13 @@ func (p *Pipeline) apply(j *batchJob) {
 	p.finish(j)
 }
 
-// finish publishes the job's completion to Flush and SubmitWait waiters,
-// then recycles it. The wait channel is closed before the job is pooled;
-// waiters captured the channel at submit time and never touch the job
-// itself.
+// finish releases the job's batch and recycles the job, then publishes
+// its completion to Flush and SubmitWait waiters — so a returned Flush or
+// SubmitWait implies the batch is already released. Waiters captured the
+// wait channel at submit time and never touch the job itself.
 func (p *Pipeline) finish(j *batchJob) {
 	wait := j.wait
+	p.putJob(j)
 	p.applyMu.Lock()
 	p.applied.Inc()
 	p.applyCond.Broadcast()
@@ -838,38 +805,18 @@ func (p *Pipeline) finish(j *batchJob) {
 	if wait != nil {
 		close(wait)
 	}
-	j.reset(len(p.shards))
-	p.jobs.Put(j)
 }
 
-// Start subscribes the pipeline to sources with the detector's filter
-// (owned space, both directions). Sources implementing
-// feedtypes.BatchSource deliver whole batches; others are adapted
-// per event.
-func (p *Pipeline) Start(sources ...feedtypes.Source) {
-	p.life.RLock()
-	filter := feedtypes.Filter{
-		Prefixes:     p.table.UnionFilter(),
-		MoreSpecific: true,
-		LessSpecific: true,
+// putJob releases the job's batch (the pipeline is its last owner) and
+// returns the job to the free list, dropping it when the list is full.
+func (p *Pipeline) putJob(j *batchJob) {
+	if j.batch != nil {
+		j.batch.Release()
 	}
-	p.life.RUnlock()
-	deliver := p.Submit
-	if p.cfg.Synchronous {
-		deliver = p.SubmitWait
-	}
-	for _, src := range sources {
-		var cancel func()
-		if bs, ok := src.(feedtypes.BatchSource); ok {
-			cancel = bs.SubscribeBatch(filter, deliver)
-		} else {
-			cancel = src.Subscribe(filter, func(ev feedtypes.Event) {
-				deliver([]feedtypes.Event{ev})
-			})
-		}
-		p.cancelMu.Lock()
-		p.cancels = append(p.cancels, cancel)
-		p.cancelMu.Unlock()
+	j.reset(len(p.shards))
+	select {
+	case p.jobs <- j:
+	default:
 	}
 }
 
@@ -925,7 +872,7 @@ func (p *Pipeline) swapTableLocked(next *PolicyTable, onApply func()) {
 		return
 	}
 	p.table = next
-	job := p.jobs.Get().(*batchJob)
+	job := p.getJob()
 	job.reset(len(p.shards))
 	job.table = next
 	job.swap = func() {}
@@ -956,18 +903,10 @@ func (p *Pipeline) Flush() {
 	p.applyMu.Unlock()
 }
 
-// Close detaches from sources, drains every pending batch through the
-// sink, and stops the workers. It is idempotent; Submit after Close drops
-// the batch.
+// Close drains every pending batch through the sink and stops the
+// workers. It is idempotent; Submit after Close releases the batch
+// without ingesting it.
 func (p *Pipeline) Close() {
-	p.cancelMu.Lock()
-	cancels := p.cancels
-	p.cancels = nil
-	p.cancelMu.Unlock()
-	for _, c := range cancels {
-		c()
-	}
-
 	p.life.Lock()
 	if p.closed {
 		p.life.Unlock()

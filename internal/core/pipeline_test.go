@@ -27,6 +27,35 @@ func multiOwnedConfig() *Config {
 	}
 }
 
+// testBatches supplies the batches tests submit, with poisoning on: a
+// pipeline that read a batch after releasing it would classify sentinel
+// events and break every oracle below.
+var testBatches = func() *feedtypes.BatchPool {
+	p := feedtypes.NewBatchPool()
+	p.SetPoison(true)
+	return p
+}()
+
+// batchOf copies evs into a pooled batch for Submit to take over.
+func batchOf(evs []feedtypes.Event) *feedtypes.Batch {
+	b := testBatches.Get()
+	b.AppendEvents(evs)
+	return b
+}
+
+// shardFor reports the shard the router assigns a prefix, by routing a
+// one-event job under the active snapshot.
+func (p *Pipeline) shardFor(pfx prefix.Prefix) int {
+	p.life.RLock()
+	defer p.life.RUnlock()
+	job := new(batchJob)
+	job.reset(len(p.shards))
+	job.table = p.table
+	job.batch = &feedtypes.Batch{Events: []feedtypes.Event{{Prefix: pfx}}}
+	p.routeBatch(job, len(p.shards))
+	return int(job.shardOf[0])
+}
+
 func TestPipelineShardRouting(t *testing.T) {
 	cfg := multiOwnedConfig()
 	p := NewPipeline(NewDetector(cfg), nil, PipelineConfig{Shards: 3})
@@ -117,7 +146,7 @@ func TestPipelineMatchesSerial(t *testing.T) {
 	p := NewPipeline(pipeDet, pipeMon, PipelineConfig{Shards: 4, QueueDepth: 8})
 	for i := 0; i < len(evs); i += 37 { // uneven batch boundaries
 		end := min(i+37, len(evs))
-		p.SubmitWait(evs[i:end])
+		p.SubmitWait(batchOf(evs[i:end]))
 	}
 	p.Close()
 
@@ -160,8 +189,13 @@ func TestPipelineAlertHandlerOrder(t *testing.T) {
 		mk("10.0.0.0/23", 666),  // dup of 1
 		mk("192.0.2.0/24", 888), // alert 3
 	}
-	p.SubmitWait(batch)
-	p.SubmitWait(batch) // all dups now
+	p.SubmitWait(batchOf(batch))
+	// SubmitWait returns only once the batch is applied: its alerts are
+	// already visible.
+	if got := len(det.Alerts()); got != 3 {
+		t.Fatalf("%d alerts visible when SubmitWait returned, want 3", got)
+	}
+	p.SubmitWait(batchOf(batch)) // all dups now
 	p.Close()
 
 	mu.Lock()
@@ -186,7 +220,7 @@ func TestPipelineCloseFlushesPending(t *testing.T) {
 	p := NewPipeline(det, nil, PipelineConfig{Shards: 2, QueueDepth: 4})
 	evs := mixedEvents(300)
 	for i := 0; i < len(evs); i += 10 {
-		p.Submit(evs[i : i+10]) // async: no waiting
+		p.Submit(batchOf(evs[i : i+10])) // async: no waiting
 	}
 	p.Close()
 
@@ -204,7 +238,7 @@ func TestPipelineCloseFlushesPending(t *testing.T) {
 		t.Fatalf("alerts after close: %d, want %d", got, want)
 	}
 	// Submission after Close is dropped, not processed or deadlocked.
-	p.Submit(evs[:10])
+	p.Submit(batchOf(evs[:10]))
 	if p.Snapshot().Submitted != 30 {
 		t.Fatal("submit after close was accepted")
 	}
@@ -245,7 +279,7 @@ func TestPipelineStress(t *testing.T) {
 		go func(evs []feedtypes.Event) {
 			defer wg.Done()
 			for i := 0; i < len(evs); i += batchSize {
-				p.Submit(evs[i : i+batchSize])
+				p.Submit(batchOf(evs[i : i+batchSize]))
 			}
 		}(streams[s])
 	}
@@ -298,47 +332,72 @@ func TestPipelineStress(t *testing.T) {
 	}
 }
 
-// TestPipelineSynchronousStart wires the pipeline to an in-process batch
-// source and checks that a publish returns only after its alerts are
-// visible — the property the virtual-time experiments rely on.
-func TestPipelineSynchronousStart(t *testing.T) {
-	cfg := multiOwnedConfig()
-	det := NewDetector(cfg)
-	p := NewPipeline(det, nil, PipelineConfig{Shards: 2, Synchronous: true})
+// poisoned reports whether a released batch's storage was overwritten
+// with the pool's sentinels.
+func poisoned(ev feedtypes.Event) bool {
+	return ev.Source == "poisoned" && ev.Prefix == feedtypes.PoisonPrefix
+}
+
+// TestPipelineOwnsBatchUntilApplied: Submit takes the batch over. The
+// sink still reads it intact while applying it, the pipeline releases
+// it before SubmitWait returns, and nothing the sink kept — alert
+// evidence, monitor state — points into the released storage.
+func TestPipelineOwnsBatchUntilApplied(t *testing.T) {
+	det := NewDetector(multiOwnedConfig())
+	mon := NewMonitor(multiOwnedConfig())
+	p := NewPipeline(det, mon, PipelineConfig{Shards: 2})
 	defer p.Close()
 
-	hub := feedtypes.NewHub()
-	src := &hubSource{name: "ris", hub: hub}
-	p.Start(src)
-
-	hub.Publish([]feedtypes.Event{{
-		Source: "ris", VantagePoint: 1, Kind: feedtypes.Announce,
-		Prefix: prefix.MustParse("10.0.0.0/24"), Path: []bgp.ASN{1, 666},
-	}})
-	// Synchronous: the alert is committed by the time Publish returns.
-	if alerts := det.Alerts(); len(alerts) != 1 || alerts[0].Type != AlertSubPrefix {
-		t.Fatalf("alert not visible after synchronous publish: %+v", alerts)
+	hijack := feedtypes.Event{
+		Source: "ris", Collector: "rrc00", VantagePoint: 1, Kind: feedtypes.Announce,
+		Prefix: prefix.MustParse("10.0.0.0/24"), Path: []bgp.ASN{1, 2, 666},
 	}
-	// Out-of-filter publishes never reach the pipeline.
-	hub.Publish([]feedtypes.Event{{
-		Source: "ris", VantagePoint: 1, Kind: feedtypes.Announce,
-		Prefix: prefix.MustParse("172.16.0.0/16"), Path: []bgp.ASN{1, 666},
-	}})
-	p.Flush()
-	if got := p.Snapshot().Events; got != 1 {
-		t.Fatalf("pipeline ingested %d events, want 1 (filter leak)", got)
+	b := batchOf([]feedtypes.Event{hijack, hijack})
+	held := b.Events // what an illegal retainer would still see
+	var atApply []feedtypes.Event
+	det.OnAlert(func(Alert) { atApply = feedtypes.CopyEvents(nil, held) })
+	p.SubmitWait(b)
+
+	if len(atApply) != 2 || atApply[0].Prefix != hijack.Prefix || atApply[0].Path[2] != 666 {
+		t.Fatalf("batch not intact while the sink applied it: %+v", atApply)
+	}
+	if !poisoned(held[0]) || !poisoned(held[1]) {
+		t.Fatalf("batch not released when SubmitWait returned: %+v", held)
+	}
+	alerts := det.Alerts()
+	if len(alerts) != 1 {
+		t.Fatalf("alerts = %+v", alerts)
+	}
+	if ev := alerts[0].Evidence; ev.Prefix != hijack.Prefix || ev.Source != "ris" || len(ev.Path) != 3 || ev.Path[2] != 666 {
+		t.Fatalf("alert evidence aliases released storage: %+v", ev)
+	}
+	if got := mon.VPOrigins()[1]; len(got) == 0 || got[0] != 666 {
+		t.Fatalf("monitor state after release = %v, want origin 666", got)
 	}
 }
 
-type hubSource struct {
-	name string
-	hub  *feedtypes.Hub
-}
+// TestPipelineReleasesDroppedBatches: batches the pipeline does not
+// ingest — empty ones, and any submitted after Close — are released at
+// once rather than leaked. (A second release would panic.)
+func TestPipelineReleasesDroppedBatches(t *testing.T) {
+	p := NewPipeline(NewDetector(multiOwnedConfig()), nil, PipelineConfig{Shards: 2})
 
-func (s *hubSource) Name() string { return s.name }
-func (s *hubSource) Subscribe(f feedtypes.Filter, fn func(feedtypes.Event)) func() {
-	return s.hub.Subscribe(f, fn)
-}
-func (s *hubSource) SubscribeBatch(f feedtypes.Filter, fn func([]feedtypes.Event)) func() {
-	return s.hub.SubscribeBatch(f, fn)
+	empty := batchOf(mixedEvents(3))
+	held := empty.Events
+	empty.Reset()
+	p.Submit(empty)
+	if !poisoned(held[0]) {
+		t.Fatal("empty batch not released")
+	}
+
+	p.Close()
+	late := batchOf(mixedEvents(3))
+	held = late.Events
+	p.Submit(late)
+	if !poisoned(held[0]) {
+		t.Fatal("batch submitted after Close not released")
+	}
+	if got := p.Snapshot().Submitted; got != 0 {
+		t.Fatalf("dropped batches counted as submitted: %d", got)
+	}
 }

@@ -93,7 +93,7 @@ func TestReconfigureSerialPipelineEquivalence(t *testing.T) {
 			for _, st := range stages {
 				for i := from; i < st.to; i += 37 { // uneven batch boundaries
 					end := min(i+37, st.to)
-					p.Submit(evs[i:end])
+					p.Submit(batchOf(evs[i:end]))
 				}
 				from = st.to
 				if st.next != nil {
@@ -161,7 +161,7 @@ func TestReconfigureConcurrentSubmitters(t *testing.T) {
 					return
 				default:
 				}
-				p.Submit(randomEvents(rng, 50))
+				p.Submit(batchOf(randomEvents(rng, 50)))
 			}
 		}(g)
 	}

@@ -106,7 +106,7 @@ func TestMultiTenantEquivalence(t *testing.T) {
 							pass = append(pass, ev)
 						}
 					}
-					p.Submit(pass)
+					p.Submit(batchOf(pass))
 				}
 				p.Close()
 				h.q.Close()
@@ -129,7 +129,7 @@ func TestMultiTenantEquivalence(t *testing.T) {
 			}
 			p := NewPipelineTable(table, PipelineConfig{Shards: 4, QueueDepth: 4})
 			for i := 0; i < len(evs); i += 41 {
-				p.Submit(evs[i:min(i+41, len(evs))])
+				p.Submit(batchOf(evs[i:min(i+41, len(evs))]))
 			}
 			p.Close()
 			for _, name := range names {
@@ -182,7 +182,7 @@ func TestMultiTenantReconfigureOne(t *testing.T) {
 	p := NewPipelineTable(table, PipelineConfig{Shards: 2})
 	defer p.Close()
 
-	p.SubmitWait([]feedtypes.Event{announceEvent("10.0.0.0/24", 1001, 666)})
+	p.SubmitWait(batchOf([]feedtypes.Event{announceEvent("10.0.0.0/24", 1001, 666)}))
 	if got := len(a.det.Alerts()); got != 1 { // sub-prefix of alpha's /23
 		t.Fatalf("alpha alerts = %d", got)
 	}
@@ -196,7 +196,7 @@ func TestMultiTenantReconfigureOne(t *testing.T) {
 	next.OwnedPrefixes = []prefix.Prefix{prefix.MustParse("192.0.2.0/24")}
 	p.Reconfigure(next, func() { a.det.setConfig(next) })
 
-	p.SubmitWait([]feedtypes.Event{announceEvent("10.0.0.0/24", 1002, 667)})
+	p.SubmitWait(batchOf([]feedtypes.Event{announceEvent("10.0.0.0/24", 1002, 667)}))
 	if got := len(a.det.Alerts()); got != 1 {
 		t.Fatalf("alpha still matched after shedding 10.x: %d alerts", got)
 	}
@@ -272,11 +272,11 @@ func TestNoisyTenantQuotaIsolation(t *testing.T) {
 			})
 		}
 		if len(batch) >= 60 {
-			p.SubmitWait(batch)
+			p.SubmitWait(batchOf(batch))
 			batch = batch[:0]
 		}
 	}
-	p.SubmitWait(batch)
+	p.SubmitWait(batchOf(batch))
 	p.Close()
 	quiet.q.Close()
 	noisy.q.Close()

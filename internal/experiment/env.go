@@ -80,7 +80,8 @@ type Options struct {
 	SplitCoverage bool
 	// DeliverTee, when set, observes every deduplicated batch on its way
 	// into the pipeline (the fleet's replay recorder hooks here). It runs
-	// inline on the delivery path and must not block.
+	// inline on the delivery path, must not block, and must copy what it
+	// keeps: the pipeline takes the batch over when the tee returns.
 	DeliverTee func([]feedtypes.Event)
 
 	// Feed shape. Zero values select the defaults noted.
@@ -162,9 +163,10 @@ type Env struct {
 	Ctrl    *controller.Controller
 	Artemis *core.Service
 	// Pipeline is the sharded detection data path the trials run against;
-	// it feeds both the detector and the monitor. Synchronous mode keeps
-	// virtual-time semantics: a feed's publish returns only once its
-	// consequences (alerts, mitigation scheduling) are in place.
+	// it feeds both the detector and the monitor. Batches enter through
+	// SubmitWait, which keeps virtual-time semantics: a feed's publish
+	// returns only once its consequences (alerts, mitigation scheduling)
+	// are in place.
 	Pipeline *core.Pipeline
 	// Ingest is the supervised fan-in tier between the feeds and the
 	// pipeline: cross-source dedup (the same route change seen by
@@ -340,19 +342,15 @@ func Build(opts Options) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	env.Pipeline = core.NewPipeline(env.Artemis.Detector, env.Artemis.Monitor, core.PipelineConfig{
-		Shards:      4,
-		Synchronous: true,
-	})
+	env.Pipeline = core.NewPipeline(env.Artemis.Detector, env.Artemis.Monitor, core.PipelineConfig{Shards: 4})
 	// Route config swaps through the pipeline barrier, so a mid-incident
 	// Reconfigure lands at a well-defined serial position in the stream.
 	env.Artemis.BindPipeline(env.Pipeline)
 	deliver := env.Pipeline.SubmitWait
-	if opts.DeliverTee != nil {
-		tee, inner := opts.DeliverTee, deliver
-		deliver = func(batch []feedtypes.Event) {
-			tee(batch)
-			inner(batch)
+	if tee := opts.DeliverTee; tee != nil {
+		deliver = func(b *feedtypes.Batch) {
+			tee(b.Events) // reads the batch before SubmitWait takes it
+			env.Pipeline.SubmitWait(b)
 		}
 	}
 	env.Ingest = ingest.New(deliver, ingest.Config{

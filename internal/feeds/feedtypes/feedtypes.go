@@ -11,17 +11,15 @@
 //
 // # Batch ownership and pooling
 //
-// Events travel in batches, and batches are pooled: feeds build each
-// flush in a Batch from a BatchPool (event storage plus a flat AS-path
-// arena), publish it through a Hub, and release it immediately after —
-// so the steady-state event path allocates nothing per batch. The
-// ownership rule every consumer must follow: a published batch and its
-// events' Path slices are valid only for the duration of the
-// subscriber callback. Retaining events past the callback requires a
-// deep copy — CopyEvents, or Batch.AppendEvents into a pooled batch of
-// the consumer's own. BatchPool.SetPoison turns violations of this
-// rule into deterministic test failures. See docs/PERFORMANCE.md for
-// the full contract and the measured effect.
+// Events travel in pooled batches (Batch, BatchPool): event storage plus
+// a flat AS-path arena, recycled so the steady-state event path
+// allocates nothing per batch. A batch has exactly one owner, and
+// handing it on transfers ownership; the last owner releases it. Hub
+// publication is the exception: a published slice is valid only for the
+// duration of the subscriber callback, and a subscriber that keeps
+// events copies them (CopyEvents, or Batch.AppendEvents into a pooled
+// batch of its own). BatchPool.SetPoison turns violations of either
+// rule into deterministic test failures. See docs/PERFORMANCE.md.
 package feedtypes
 
 import (

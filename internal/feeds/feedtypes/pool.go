@@ -9,30 +9,32 @@ import (
 )
 
 // Batch is a reusable event batch: an Events slice plus a flat AS-path
-// arena the events' Path fields can alias. Feeds build their per-flush
-// batches in one, publish Events, and return the whole thing to a
-// BatchPool — at steady state the feed→hub→pipeline path then performs
-// zero allocations per batch, because both the event storage and every
-// AS path live in recycled backing arrays.
+// arena the events' Path fields can alias. At steady state the
+// feed→pipeline path then performs zero allocations per batch, because
+// both the event storage and every AS path live in recycled backing
+// arrays.
 //
 // # Ownership
 //
-// A Batch obtained from BatchPool.Get is owned by the caller until it
-// is released with Release (or BatchPool.Put). Releasing transfers
-// ownership back to the pool: the batch, its Events slice, and every
-// path obtained from NewPath/AppendPath become invalid immediately —
-// the pool will hand the same backing arrays to the next Get. The
-// standard lifecycle for a feed is
+// A Batch has exactly one owner, and handing it on transfers ownership.
+// BatchPool.Get makes the caller the owner; whoever owns the batch last
+// releases it with Release (or BatchPool.Put), after which the batch,
+// its Events slice, and every path obtained from NewPath/AppendPath are
+// invalid — the pool hands the same backing arrays to the next Get. On
+// the ingest path the chain is
 //
-//	b := pool.Get()
-//	... b.Append / b.NewPath per event ...
-//	hub.Publish(b.Events)
-//	b.Release()
+//	supervisor: b := pool.Get()
+//	conn.Recv(b)            // the conn decodes straight into b
+//	queue, dedup in place   // the supervisor still owns b
+//	deliver(b)              // read-only taps, then Pipeline.Submit(b)
+//	pipeline: b.Release()   // after the sink has applied the batch
 //
-// which is safe because Hub.Publish is synchronous: subscribers run
-// inside Publish and must not retain the slice (see Hub). Consumers
-// that need events past the callback — queues, stores, alert logs —
-// must deep-copy, including the Path slices (CopyEvents does both).
+// so every event is written once, by the decoder. A feed that publishes
+// through a Hub keeps its batch: Hub.Publish is synchronous, subscribers
+// must not retain the slice (see Hub), and the feed releases the batch
+// after Publish returns. A subscriber that queues events past its
+// callback copies them into a batch of its own (AppendEvents) — the one
+// copy at the hub boundary.
 type Batch struct {
 	// Events is the batch under construction, in emission order.
 	Events []Event
@@ -41,6 +43,9 @@ type Batch struct {
 	// array, which stays valid until the batch is released.
 	paths []bgp.ASN
 	pool  *BatchPool
+	// released marks a batch sitting in its pool, so a second release —
+	// two owners believing they hold the same batch — fails loudly.
+	released bool
 }
 
 // Reset empties the batch for reuse, keeping its backing arrays.
@@ -128,17 +133,23 @@ func NewBatchPool() *BatchPool { return &BatchPool{} }
 // arrays are recycled from previously released batches when available.
 func (p *BatchPool) Get() *Batch {
 	if b, ok := p.pool.Get().(*Batch); ok && b != nil {
+		b.released = false
 		return b
 	}
 	return &Batch{pool: p}
 }
 
 // Put releases b back to the pool. The caller must not touch b, its
-// Events, or any arena path after Put returns. Put(nil) is a no-op.
+// Events, or any arena path after Put returns. Put(nil) is a no-op;
+// releasing a batch that is already released panics.
 func (p *BatchPool) Put(b *Batch) {
 	if b == nil {
 		return
 	}
+	if b.released {
+		panic("feedtypes: batch released twice")
+	}
+	b.released = true
 	b.Reset()
 	if p.poison.Load() {
 		poisonEvents(b.Events[:cap(b.Events)])

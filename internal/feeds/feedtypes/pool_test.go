@@ -99,6 +99,22 @@ func TestPoisonMarksReleasedStorage(t *testing.T) {
 	}
 }
 
+// TestDoubleReleasePanics: a batch has one owner, so releasing it twice
+// means two parties believed they owned it — a bug that must not pass
+// silently by handing the same storage to two later Gets.
+func TestDoubleReleasePanics(t *testing.T) {
+	pool := NewBatchPool()
+	b := pool.Get()
+	b.AppendCopy(poolEvent("10.0.0.0/24", 1, 2))
+	b.Release()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("second release did not panic")
+		}
+	}()
+	b.Release()
+}
+
 // TestCopyEvents verifies the retain-past-callback escape hatch
 // deep-copies paths.
 func TestCopyEvents(t *testing.T) {

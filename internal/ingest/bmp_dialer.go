@@ -110,17 +110,13 @@ type bmpConn struct {
 	// Peer Up arrives so an initially empty mirror isn't "all down".
 	peers   map[bmpPeerKey]bool
 	sawPeer bool
-	// buf/paths are the reused per-Recv batch and its path arena (Conn
-	// contract: valid until the next Recv).
-	buf   []feedtypes.Event
-	paths []bgp.ASN
 }
 
-func (c *bmpConn) Recv() ([]feedtypes.Event, error) {
+func (c *bmpConn) Recv(b *feedtypes.Batch) error {
 	for {
 		msg, err := c.r.Next()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		switch m := msg.(type) {
 		case *bmp.Initiation:
@@ -128,7 +124,7 @@ func (c *bmpConn) Recv() ([]feedtypes.Event, error) {
 				c.collector = name
 			}
 		case *bmp.Termination:
-			return nil, errors.New("bmp: termination received")
+			return errors.New("bmp: termination received")
 		case *bmp.PeerUp:
 			c.peers[bmpPeerKey{m.Peer.Addr, m.Peer.AS}] = true
 			c.sawPeer = true
@@ -141,11 +137,11 @@ func (c *bmpConn) Recv() ([]feedtypes.Event, error) {
 				c.onPeer(BMPPeerEvent{Collector: c.collector, Addr: m.Peer.Addr, AS: m.Peer.AS, Reason: m.Reason})
 			}
 			if c.sawPeer && len(c.peers) == 0 {
-				return nil, fmt.Errorf("%w (last: %s AS%d reason %d)", errBMPPeersDown, m.Peer.Addr, m.Peer.AS, m.Reason)
+				return fmt.Errorf("%w (last: %s AS%d reason %d)", errBMPPeersDown, m.Peer.Addr, m.Peer.AS, m.Reason)
 			}
 		case *bmp.RouteMonitoring:
-			if batch := c.convert(m); len(batch) > 0 {
-				return batch, nil
+			if c.convert(m, b); len(b.Events) > 0 {
+				return nil
 			}
 		}
 		// Stats reports and unmatched route monitoring fall through to the
@@ -153,22 +149,18 @@ func (c *bmpConn) Recv() ([]feedtypes.Event, error) {
 	}
 }
 
-// convert maps one mirrored UPDATE to events, reusing the conn's batch
-// buffer and path arena so a hot session allocates only when the update
-// outgrows every previous one.
-func (c *bmpConn) convert(m *bmp.RouteMonitoring) []feedtypes.Event {
+// convert decodes one mirrored UPDATE's matching routes into b.
+func (c *bmpConn) convert(m *bmp.RouteMonitoring, b *feedtypes.Batch) {
 	u := m.Update
 	if u == nil {
-		return nil
+		return
 	}
 	seen, emitted := c.times(m.Peer.Timestamp)
-	batch := c.buf[:0]
-	arena := c.paths[:0]
 	for _, p := range u.Withdrawn {
 		if !c.filter.Match(p) {
 			continue
 		}
-		batch = append(batch, feedtypes.Event{
+		b.Append(feedtypes.Event{
 			Source:       BMPSourceName,
 			Collector:    c.collector,
 			VantagePoint: m.Peer.AS,
@@ -179,16 +171,18 @@ func (c *bmpConn) convert(m *bmp.RouteMonitoring) []feedtypes.Event {
 		})
 	}
 	if path, ok := u.ASPath(); ok {
-		// Copy the decoded path into the arena once; every NLRI of this
-		// update shares it, like the vantage point shares one route.
-		start := len(arena)
-		arena = append(arena, path...)
-		shared := arena[start:len(arena):len(arena)]
+		// Copy the decoded path into the batch's arena once, on the first
+		// matching NLRI; every NLRI of this update shares it, like the
+		// vantage point shares one route.
+		var shared []bgp.ASN
 		for _, p := range u.NLRI {
 			if !c.filter.Match(p) {
 				continue
 			}
-			batch = append(batch, feedtypes.Event{
+			if shared == nil {
+				shared = b.AppendPath(path)
+			}
+			b.Append(feedtypes.Event{
 				Source:       BMPSourceName,
 				Collector:    c.collector,
 				VantagePoint: m.Peer.AS,
@@ -200,9 +194,6 @@ func (c *bmpConn) convert(m *bmp.RouteMonitoring) []feedtypes.Event {
 			})
 		}
 	}
-	c.buf = batch
-	c.paths = arena
-	return batch
 }
 
 // times derives the event clocks from the per-peer header timestamp:

@@ -70,41 +70,38 @@ func BGPmonDialerDynamic(addr string, f FilterFunc) Dialer {
 }
 
 // chanConn adapts a per-event channel client (the RIS/BGPmon network
-// clients) to the batch Conn interface. The batch buffer is reused
-// across Recv calls — allowed by Conn's contract, since the supervisor
-// copies each batch into pooled storage before queueing — so a hot feed
-// coalesces events with zero allocations per delivery.
+// clients) to the batch Conn interface, coalescing whatever the client
+// has already buffered into one batch. The clients decode a fresh Path
+// per event, so each event's path passes to the batch as is.
 type chanConn struct {
 	events <-chan feedtypes.Event
 	close  func() error
 	err    func() error
-	buf    []feedtypes.Event
 }
 
-func (c *chanConn) Recv() ([]feedtypes.Event, error) {
+func (c *chanConn) Recv(b *feedtypes.Batch) error {
 	ev, ok := <-c.events
 	if !ok {
 		if err := c.err(); err != nil {
-			return nil, err
+			return err
 		}
-		return nil, io.EOF
+		return io.EOF
 	}
-	batch := append(c.buf[:0], ev)
-	defer func() { c.buf = batch }()
-	for len(batch) < maxRecvBatch {
+	b.Append(ev)
+	for len(b.Events) < maxRecvBatch {
 		select {
 		case next, ok := <-c.events:
 			if !ok {
 				// Deliver what we have; the next Recv reports why the
 				// stream ended.
-				return batch, nil
+				return nil
 			}
-			batch = append(batch, next)
+			b.Append(next)
 		default:
-			return batch, nil
+			return nil
 		}
 	}
-	return batch, nil
+	return nil
 }
 
 func (c *chanConn) Close() error { return c.close() }
@@ -124,13 +121,15 @@ type replayConn struct {
 	i       int
 }
 
-func (c *replayConn) Recv() ([]feedtypes.Event, error) {
+func (c *replayConn) Recv(b *feedtypes.Batch) error {
 	if c.i >= len(c.batches) {
-		return nil, ErrDone
+		return ErrDone
 	}
-	b := c.batches[c.i]
+	// The captured batches outlive this conn (a redial replays them
+	// again), so they are copied rather than handed over.
+	b.AppendEvents(c.batches[c.i])
 	c.i++
-	return b, nil
+	return nil
 }
 
 func (c *replayConn) Close() error { return nil }
@@ -160,21 +159,17 @@ type mrtConn struct {
 	// from path[0] — route-server peers do not prepend themselves, so the
 	// first path hop is not necessarily the peer.
 	peers mrt.PeerResolver
-	// buf is the reused per-Recv batch (Conn contract: valid until the
-	// next Recv).
-	buf []feedtypes.Event
 }
 
-func (c *mrtConn) Recv() ([]feedtypes.Event, error) {
+func (c *mrtConn) Recv(b *feedtypes.Batch) error {
 	for {
 		rec, err := c.r.Next()
 		if err == io.EOF {
-			return nil, ErrDone
+			return ErrDone
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
-		batch := c.buf[:0]
 		switch m := rec.(type) {
 		case *mrt.BGP4MPMessage:
 			u, ok := m.Message.(*bgp.Update)
@@ -183,7 +178,7 @@ func (c *mrtConn) Recv() ([]feedtypes.Event, error) {
 			}
 			at := dumps.SimTimeOf(m.Timestamp)
 			for _, p := range u.Withdrawn {
-				batch = append(batch, feedtypes.Event{
+				b.Append(feedtypes.Event{
 					Source:       dumps.SourceName,
 					Collector:    c.collector,
 					VantagePoint: m.PeerAS,
@@ -193,9 +188,11 @@ func (c *mrtConn) Recv() ([]feedtypes.Event, error) {
 					EmittedAt:    at,
 				})
 			}
-			if path, ok := u.ASPath(); ok {
+			if path, ok := u.ASPath(); ok && len(u.NLRI) > 0 {
+				// Every NLRI of the update shares one arena copy of its path.
+				path = b.AppendPath(path)
 				for _, p := range u.NLRI {
-					batch = append(batch, feedtypes.Event{
+					b.Append(feedtypes.Event{
 						Source:       dumps.SourceName,
 						Collector:    c.collector,
 						VantagePoint: m.PeerAS,
@@ -220,16 +217,15 @@ func (c *mrtConn) Recv() ([]feedtypes.Event, error) {
 				}
 				peer, err := c.peers.Peer(rt.PeerIndex)
 				if err != nil {
-					return nil, err
+					return err
 				}
-				vp := peer.AS
-				batch = append(batch, feedtypes.Event{
+				b.Append(feedtypes.Event{
 					Source:       dumps.SourceName,
 					Collector:    c.collector,
-					VantagePoint: vp,
+					VantagePoint: peer.AS,
 					Kind:         feedtypes.Announce,
 					Prefix:       m.Prefix,
-					Path:         path,
+					Path:         b.AppendPath(path),
 					SeenAt:       dumps.SimTimeOf(rt.Originated),
 					EmittedAt:    at,
 				})
@@ -237,9 +233,8 @@ func (c *mrtConn) Recv() ([]feedtypes.Event, error) {
 		default:
 			continue
 		}
-		c.buf = batch
-		if len(batch) > 0 {
-			return batch, nil
+		if len(b.Events) > 0 {
+			return nil
 		}
 	}
 }

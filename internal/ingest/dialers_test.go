@@ -171,7 +171,7 @@ func TestMRTReplayRIBWithoutPeerIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := conn.Recv(); err == nil || !strings.Contains(err.Error(), "PEER_INDEX_TABLE") {
+	if err := conn.Recv(feedtypes.NewBatchPool().Get()); err == nil || !strings.Contains(err.Error(), "PEER_INDEX_TABLE") {
 		t.Fatalf("Recv err = %v, want RIB-before-peer-index error", err)
 	}
 }

@@ -83,29 +83,26 @@ type evlogConn struct {
 	// the next batch.
 	pending     feedtypes.Event
 	havePending bool
-
-	// buf is the reused per-Recv batch (Conn contract: valid until the
-	// next Recv).
-	buf []feedtypes.Event
 }
 
-func (c *evlogConn) Recv() ([]feedtypes.Event, error) {
-	batch := c.buf[:0]
+// Recv appends the next due records to b. Each parsed record carries a
+// freshly decoded Path, which passes to the batch as is.
+func (c *evlogConn) Recv(b *feedtypes.Batch) error {
 	for {
 		var ev feedtypes.Event
 		if c.havePending {
 			ev, c.havePending = c.pending, false
+			c.pending = feedtypes.Event{}
 		} else {
 			rec, err := c.r.Next()
 			if err == io.EOF {
-				if len(batch) > 0 {
-					c.buf = batch
-					return batch, nil
+				if len(b.Events) > 0 {
+					return nil
 				}
-				return nil, ErrDone
+				return ErrDone
 			}
 			if err != nil {
-				return nil, err
+				return err
 			}
 			ev = rec.Event
 		}
@@ -115,22 +112,20 @@ func (c *evlogConn) Recv() ([]feedtypes.Event, error) {
 			}
 			wait := time.Duration(float64(ev.EmittedAt-c.base)/c.speed) - time.Since(c.start)
 			if wait > 0 {
-				if len(batch) > 0 {
+				if len(b.Events) > 0 {
 					// Deliver what is due; the read-ahead record waits for
 					// its own time on the next Recv.
 					c.pending, c.havePending = ev, true
-					c.buf = batch
-					return batch, nil
+					return nil
 				}
 				if !c.sleep(wait) {
-					return nil, errors.New("eventlog: replay closed")
+					return errors.New("eventlog: replay closed")
 				}
 			}
 		}
-		batch = append(batch, ev)
-		if len(batch) >= maxRecvBatch {
-			c.buf = batch
-			return batch, nil
+		b.Append(ev)
+		if len(b.Events) >= maxRecvBatch {
+			return nil
 		}
 	}
 }

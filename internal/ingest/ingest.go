@@ -87,17 +87,17 @@ func (s State) Terminal() bool { return s == StateDead || s == StateFinished }
 var ErrDone = errors.New("ingest: source stream complete")
 
 // Conn is one live feed connection: Recv blocks for the next batch of
-// events (emission order within the batch). A Recv may return both a
-// final batch and an error. Close must unblock a pending Recv.
+// events and decodes them into b, in emission order. A Recv may append
+// a final batch and return an error. Close must unblock a pending Recv.
 //
-// The returned slice (and its events' Path slices) is only valid until
-// the next Recv or Close call: connections are free to reuse one
-// backing buffer across calls, and the built-in dialers do. The
-// supervisor honors this by copying each batch into its own pooled
-// storage before queueing (see Supervisor's pool), so a Conn never has
-// a batch retained behind its back.
+// b is the supervisor's pooled batch, and filling it is the only write
+// of an event on the dial path: the supervisor queues, dedups and
+// delivers that same batch. A Conn must therefore not keep b, its
+// events, or any path it placed in them after Recv returns. Each Path
+// either lives in b's arena (Batch.AppendPath/NewPath) or is a fresh
+// slice whose ownership passes to the batch.
 type Conn interface {
-	Recv() ([]feedtypes.Event, error)
+	Recv(b *feedtypes.Batch) error
 	Close() error
 }
 
@@ -195,17 +195,16 @@ type SourceID int
 // core.Pipeline.Submit, or SubmitWait in synchronous trials). It is safe
 // for concurrent use.
 type Supervisor struct {
-	deliver func([]feedtypes.Event)
+	deliver func(*feedtypes.Batch)
 	cfg     Config
 
 	dedup *dedupCache // nil when disabled
 
-	// pool recycles the queued copies: every batch accepted into a source
-	// queue is first deep-copied (events and AS paths) into a pooled
-	// batch, because the producer's storage — a feed's pooled publish
-	// batch, or a Conn's reused Recv buffer — is only valid for the
-	// duration of the callback. The forwarder releases each copy after
-	// delivery, so at steady state the fan-in path allocates nothing.
+	// pool supplies every batch the supervisor hands on: dial sources'
+	// conns decode into one, in-process sources' publications are copied
+	// into one. Whoever owns a delivered batch last (the pipeline, after
+	// its sink applied it) releases it back here, so at steady state the
+	// fan-in path allocates nothing.
 	pool *feedtypes.BatchPool
 
 	rngMu sync.Mutex
@@ -221,10 +220,10 @@ type Supervisor struct {
 // New builds a supervisor delivering into deliver. deliver is called from
 // per-source goroutines (or inline from publishers in Synchronous mode)
 // and must be safe for concurrent use; the pipeline's Submit/SubmitWait
-// both are. The slice passed to deliver is only valid for the duration of
-// the call — the supervisor reuses its buffers — so a deliver that needs
-// the events afterwards must copy them (the pipeline does).
-func New(deliver func([]feedtypes.Event), cfg Config) *Supervisor {
+// both are. deliver takes ownership of each non-empty batch it is handed
+// and must release it (Batch.Release) once done with it — the pipeline
+// does so after its sink applies the batch.
+func New(deliver func(*feedtypes.Batch), cfg Config) *Supervisor {
 	cfg = cfg.withDefaults()
 	s := &Supervisor{
 		deliver: deliver,
@@ -470,16 +469,7 @@ func (s *Supervisor) widenFrom(dead *source) {
 			src.cancel()
 			f := src.eff
 			f.Prefixes = append([]prefix.Prefix(nil), f.Prefixes...)
-			sub := src
-			if s.cfg.Synchronous {
-				src.cancel = subscribeBatches(src.feed, f, func(batch []feedtypes.Event) {
-					s.deliverBatch(sub, batch)
-				})
-			} else {
-				src.cancel = subscribeBatches(src.feed, f, func(batch []feedtypes.Event) {
-					s.enqueueGuarded(sub, batch)
-				})
-			}
+			src.cancel = s.subscribe(src, f)
 		} else if src.cancel == nil {
 			bounce = append(bounce, src.id)
 		}
@@ -594,39 +584,38 @@ func (s *Supervisor) AddSource(name string, feed feedtypes.Source, f feedtypes.F
 	src.eff = f
 	src.eff.Prefixes = append([]prefix.Prefix(nil), f.Prefixes...)
 	src.hasFilter = true
-	s.mu.Lock()
+	goroutines := 1
 	if s.cfg.Synchronous {
-		if !s.registerLocked(src, 0) {
-			s.mu.Unlock()
-			return -1
-		}
-		src.setState(StateHealthy)
-		src.cancel = subscribeBatches(feed, f, func(batch []feedtypes.Event) {
-			s.deliverBatch(src, batch)
-		})
-		s.mu.Unlock()
-		return src.id
+		goroutines = 0
 	}
-	if !s.registerLocked(src, 1) {
+	s.mu.Lock()
+	if !s.registerLocked(src, goroutines) {
 		s.mu.Unlock()
 		return -1
 	}
 	src.setState(StateHealthy)
-	src.cancel = subscribeBatches(feed, f, func(batch []feedtypes.Event) {
-		s.enqueueGuarded(src, batch)
-	})
+	src.cancel = s.subscribe(src, f)
 	s.mu.Unlock()
-	go s.forward(src)
+	if !s.cfg.Synchronous {
+		go s.forward(src)
+	}
 	return src.id
 }
 
-// subscribeBatches attaches fn to feed at batch granularity, adapting
-// per-event sources.
-func subscribeBatches(feed feedtypes.Source, f feedtypes.Filter, fn func([]feedtypes.Event)) func() {
-	if bs, ok := feed.(feedtypes.BatchSource); ok {
+// subscribe attaches an in-process source to its feed at batch
+// granularity, adapting per-event sources. Hub subscribers may not
+// retain a published slice, so this boundary is where in-process events
+// are copied into a supervisor-owned batch (copyIn): delivered inline in
+// Synchronous mode, queued otherwise.
+func (s *Supervisor) subscribe(src *source, f feedtypes.Filter) func() {
+	fn := func(batch []feedtypes.Event) { s.enqueueGuarded(src, batch) }
+	if s.cfg.Synchronous {
+		fn = func(batch []feedtypes.Event) { s.deliverBatch(src, s.copyIn(batch)) }
+	}
+	if bs, ok := src.feed.(feedtypes.BatchSource); ok {
 		return bs.SubscribeBatch(f, fn)
 	}
-	return feed.Subscribe(f, func(ev feedtypes.Event) { fn([]feedtypes.Event{ev}) })
+	return src.feed.Subscribe(f, func(ev feedtypes.Event) { fn([]feedtypes.Event{ev}) })
 }
 
 // Bounce forces a dial source to drop its connection and redial
@@ -817,13 +806,17 @@ func (s *Supervisor) runDial(src *source, d Dialer) {
 }
 
 // stream drains one connection into the source queue until it errors,
-// reporting whether it delivered anything.
+// reporting whether it delivered anything. Each Recv decodes into a
+// fresh pooled batch, which the queue then owns.
 func (s *Supervisor) stream(src *source, conn Conn) (delivered bool, err error) {
 	for {
-		batch, err := conn.Recv()
-		if len(batch) > 0 {
+		b := s.pool.Get()
+		err := conn.Recv(b)
+		if len(b.Events) > 0 {
 			delivered = true
-			s.enqueue(src, batch)
+			s.enqueue(src, b)
+		} else {
+			b.Release()
 		}
 		if err != nil {
 			return delivered, err
@@ -831,22 +824,19 @@ func (s *Supervisor) stream(src *source, conn Conn) (delivered bool, err error) 
 	}
 }
 
-// copyIn snapshots batch into a pooled batch the queue can own: the
-// producer's storage (a Conn's reused Recv buffer, a feed's pooled
-// publish batch) is only valid for the duration of the callback, and the
-// queue outlives it. This copy is what fixes the old retained-batch bug:
-// the queue used to hold the producer's slice itself, which a pooling
-// producer would overwrite before the forwarder delivered it.
+// copyIn copies a hub publication into a pooled batch the supervisor
+// owns: the publisher's storage is only valid for the duration of the
+// callback, and the queue and the pipeline outlive it.
 func (s *Supervisor) copyIn(batch []feedtypes.Event) *feedtypes.Batch {
 	b := s.pool.Get()
 	b.AppendEvents(batch)
 	return b
 }
 
-// enqueue applies the source's queue policy. Only the dial reader calls
-// it, so it never races with the reader's own closeQueue.
-func (s *Supervisor) enqueue(src *source, batch []feedtypes.Event) {
-	b := s.copyIn(batch)
+// enqueue applies the source's queue policy, releasing b when it is
+// shed. Only the dial reader calls it, so it never races with the
+// reader's own closeQueue.
+func (s *Supervisor) enqueue(src *source, b *feedtypes.Batch) {
 	if src.blocking {
 		// Push blocks for backpressure and only fails once the ring is
 		// closed. The forwarder drains the ring until it is closed, and for
@@ -854,7 +844,7 @@ func (s *Supervisor) enqueue(src *source, batch []feedtypes.Event) {
 		// defer), so a blocked Push always completes — a flow-controlled
 		// replay loses nothing even across Remove/Close.
 		if !src.queue.Push(b) {
-			src.drops.Add(int64(len(batch)))
+			src.drops.Add(int64(len(b.Events)))
 			b.Release()
 		}
 		return
@@ -862,7 +852,7 @@ func (s *Supervisor) enqueue(src *source, batch []feedtypes.Event) {
 	if !src.queue.TryPush(b) {
 		// Queue full: this source sheds its own load. Siblings and the
 		// pipeline are unaffected.
-		src.drops.Add(int64(len(batch)))
+		src.drops.Add(int64(len(b.Events)))
 		b.Release()
 	}
 }
@@ -920,15 +910,11 @@ func (s *Supervisor) jitter(d time.Duration) time.Duration {
 	return d + time.Duration(f*0.5*float64(d))
 }
 
-// forward is a source's delivery loop: dedup, account, hand to the
-// pipeline. It drains the queue fully after the source stops, so accepted
-// batches are never lost on Remove/Close. The scratch buffer absorbs the
-// dedup's copy-on-write without a per-batch allocation: the forwarder is
-// the source's only delivery goroutine and deliver must not retain the
-// slice, so the buffer can be reused immediately.
+// forward is a source's delivery loop: rate limit, dedup, account, hand
+// to the pipeline. It drains the queue fully after the source stops, so
+// accepted batches are never lost on Remove/Close.
 func (s *Supervisor) forward(src *source) {
 	defer s.wg.Done()
-	var scratch []feedtypes.Event
 	for {
 		b, ok := src.queue.Pop()
 		if !ok {
@@ -939,41 +925,26 @@ func (s *Supervisor) forward(src *source) {
 			b.Release()
 			continue
 		}
-		scratch = s.deliverBatchBuf(src, b.Events, scratch)
-		// The delivered slice must not be retained by deliver (the
-		// pipeline deep-copies), so the pooled copy can be recycled now.
-		b.Release()
+		s.deliverBatch(src, b)
 	}
 }
 
-// deliverBatch runs the delivery path without buffer reuse — the inline
-// (synchronous in-process) entry point, where concurrent publishers may
-// share the source.
-func (s *Supervisor) deliverBatch(src *source, batch []feedtypes.Event) {
-	s.deliverBatchBuf(src, batch, nil)
-}
-
-// deliverBatchBuf dedups batch (reusing buf for the filtered copy when
-// one is needed), accounts it, and hands it to deliver. It returns the
-// scratch buffer for the caller to reuse.
-func (s *Supervisor) deliverBatchBuf(src *source, batch []feedtypes.Event, buf []feedtypes.Event) []feedtypes.Event {
+// deliverBatch dedups b in place, accounts it, and hands it to deliver,
+// which takes ownership. A batch left empty by dedup is released here.
+func (s *Supervisor) deliverBatch(src *source, b *feedtypes.Batch) {
 	if s.dedup != nil {
-		out := s.dedup.filter(batch, &src.dedupHits, buf)
-		if len(out) != len(batch) {
-			buf = out // the filter copied into (and possibly grew) buf
-		}
-		batch = out
+		s.dedup.filter(b, &src.dedupHits)
 	}
-	if len(batch) == 0 {
-		return buf
+	if len(b.Events) == 0 {
+		b.Release()
+		return
 	}
-	for i := range batch {
-		src.latency.Observe(batch[i].EmittedAt - batch[i].SeenAt)
+	for i := range b.Events {
+		src.latency.Observe(b.Events[i].EmittedAt - b.Events[i].SeenAt)
 	}
-	src.events.Add(int64(len(batch)))
+	src.events.Add(int64(len(b.Events)))
 	src.batches.Inc()
-	s.deliver(batch)
-	return buf
+	s.deliver(b)
 }
 
 // Snapshot reports every supervised source's counters plus the dedup
@@ -1094,31 +1065,22 @@ func (d *dedupCache) add(ev *feedtypes.Event) bool {
 	return fresh
 }
 
-// filter returns the events of batch not already seen, preserving order.
-// Like feedtypes.FilterEvents it returns the batch unchanged (no copy)
-// when everything is fresh — the common case once sources stop
-// overlapping — and never mutates the shared input. When a copy is
-// needed it appends into buf (which may be nil), so a caller owning a
-// scratch buffer pays no allocation. hits is incremented once per
-// suppressed event.
-func (d *dedupCache) filter(batch []feedtypes.Event, hits *stats.Counter, buf []feedtypes.Event) []feedtypes.Event {
+// filter drops the events of b already seen, compacting b.Events in
+// place and preserving order; the caller owns b. hits is incremented
+// once per suppressed event.
+func (d *dedupCache) filter(b *feedtypes.Batch, hits *stats.Counter) {
+	evs := b.Events
 	n := 0
-	for n < len(batch) && d.add(&batch[n]) {
+	for i := range evs {
+		if !d.add(&evs[i]) {
+			hits.Inc()
+			continue
+		}
+		evs[n] = evs[i]
 		n++
 	}
-	if n == len(batch) {
-		return batch
-	}
-	hits.Inc()
-	out := append(buf[:0], batch[:n]...)
-	for i := n + 1; i < len(batch); i++ {
-		if d.add(&batch[i]) {
-			out = append(out, batch[i])
-		} else {
-			hits.Inc()
-		}
-	}
-	return out
+	clear(evs[n:]) // drop what the suppressed tail referenced
+	b.Events = evs[:n]
 }
 
 func (d *dedupCache) size() int {

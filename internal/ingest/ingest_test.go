@@ -35,15 +35,16 @@ func newFakeConn() *fakeConn {
 	return &fakeConn{ch: make(chan []feedtypes.Event, 16), done: make(chan struct{})}
 }
 
-func (c *fakeConn) Recv() ([]feedtypes.Event, error) {
+func (c *fakeConn) Recv(b *feedtypes.Batch) error {
 	select {
-	case b, ok := <-c.ch:
+	case evs, ok := <-c.ch:
 		if !ok {
-			return nil, errors.New("connection lost")
+			return errors.New("connection lost")
 		}
-		return b, nil
+		b.AppendEvents(evs)
+		return nil
 	case <-c.done:
-		return nil, errors.New("connection closed")
+		return errors.New("connection closed")
 	}
 }
 
@@ -109,18 +110,22 @@ type collector struct {
 	evs []feedtypes.Event
 }
 
-func (c *collector) deliver(batch []feedtypes.Event) {
+// deliver takes the batch over like the pipeline does: it keeps deep
+// copies of the events and releases the batch.
+func (c *collector) deliver(b *feedtypes.Batch) {
 	c.mu.Lock()
-	// Deep-copy: the supervisor recycles the delivered batch (and its
-	// events' Path arenas) as soon as deliver returns.
-	for _, e := range batch {
+	for _, e := range b.Events {
 		if len(e.Path) > 0 {
 			e.Path = append([]bgp.ASN(nil), e.Path...)
 		}
 		c.evs = append(c.evs, e)
 	}
 	c.mu.Unlock()
+	b.Release()
 }
+
+// discard is a delivery target that drops every batch.
+func discard(b *feedtypes.Batch) { b.Release() }
 
 func (c *collector) count() int {
 	c.mu.Lock()
@@ -242,9 +247,10 @@ func TestFlappingSourceDoesNotStallSibling(t *testing.T) {
 func TestDropPolicyShedsWhenQueueFull(t *testing.T) {
 	release := make(chan struct{})
 	var delivered atomic.Int64
-	deliver := func(batch []feedtypes.Event) {
+	deliver := func(b *feedtypes.Batch) {
 		<-release // wedge the pipeline
-		delivered.Add(int64(len(batch)))
+		delivered.Add(int64(len(b.Events)))
+		b.Release()
 	}
 	sup := ingest.New(deliver, ingest.Config{QueueDepth: 2, BackoffBase: time.Millisecond, Seed: 1})
 	d := &flakyDialer{}
@@ -413,9 +419,9 @@ func TestRemoveDialSourceUnblocksRecv(t *testing.T) {
 
 func TestBlockingReplayDeliversEverythingInOrder(t *testing.T) {
 	var got collector
-	slow := func(batch []feedtypes.Event) {
+	slow := func(b *feedtypes.Batch) {
 		time.Sleep(100 * time.Microsecond)
-		got.deliver(batch)
+		got.deliver(b)
 	}
 	sup := ingest.New(slow, ingest.Config{QueueDepth: 2, DedupTTL: -1})
 	const n = 200
@@ -444,7 +450,7 @@ func TestBlockingReplayDeliversEverythingInOrder(t *testing.T) {
 }
 
 func TestAddAfterCloseRejected(t *testing.T) {
-	sup := ingest.New(func([]feedtypes.Event) {}, ingest.Config{})
+	sup := ingest.New(discard, ingest.Config{})
 	sup.Close()
 	if id := sup.AddDialer("late", &flakyDialer{}); id != -1 {
 		t.Fatalf("AddDialer after Close = %v, want -1", id)
@@ -455,7 +461,7 @@ func TestAddAfterCloseRejected(t *testing.T) {
 }
 
 func TestSnapshotNamesAndIDsStable(t *testing.T) {
-	sup := ingest.New(func([]feedtypes.Event) {}, ingest.Config{Synchronous: true})
+	sup := ingest.New(discard, ingest.Config{Synchronous: true})
 	defer sup.Close()
 	var ids []ingest.SourceID
 	for i := 0; i < 4; i++ {
@@ -487,7 +493,7 @@ func (d *blockingDialer) Dial() (ingest.Conn, error) {
 }
 
 func TestCloseDuringInFlightDial(t *testing.T) {
-	sup := ingest.New(func([]feedtypes.Event) {}, ingest.Config{BackoffBase: time.Millisecond, Seed: 1})
+	sup := ingest.New(discard, ingest.Config{BackoffBase: time.Millisecond, Seed: 1})
 	d := &blockingDialer{entered: make(chan struct{}), release: make(chan struct{}), conn: newFakeConn()}
 	sup.AddDialer("slow-dial", d)
 	<-d.entered // the reader is parked inside Dial
@@ -516,7 +522,7 @@ func TestCloseDuringInFlightDial(t *testing.T) {
 
 func TestConcurrentAddSourceAndClose(t *testing.T) {
 	for i := 0; i < 100; i++ {
-		sup := ingest.New(func([]feedtypes.Event) {}, ingest.Config{})
+		sup := ingest.New(discard, ingest.Config{})
 		h := hubSource{feedtypes.NewHub(), "h"}
 		added := make(chan struct{})
 		go func() {

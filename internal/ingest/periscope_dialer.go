@@ -93,54 +93,51 @@ type periscopeConn struct {
 	first    bool
 	stop     chan struct{}
 	stopOnce sync.Once
-	// buf is the reused per-round change batch (Conn contract: the batch
-	// a Recv returns is valid only until the next Recv).
-	buf []feedtypes.Event
 }
 
 // errPeriscopeClosed reports a Recv interrupted by Close.
 var errPeriscopeClosed = errors.New("ingest: periscope source closed")
 
-// Recv blocks until a poll round observes changes, then returns them as
-// one batch (announcements and withdrawals in LG order).
-func (c *periscopeConn) Recv() ([]feedtypes.Event, error) {
+// Recv blocks until a poll round observes changes, then appends them to
+// b as one batch (announcements and withdrawals in LG order).
+func (c *periscopeConn) Recv(b *feedtypes.Batch) error {
 	for {
 		if c.first {
 			t := time.NewTimer(c.cfg.PollInterval)
 			select {
 			case <-c.stop:
 				t.Stop()
-				return nil, errPeriscopeClosed
+				return errPeriscopeClosed
 			case <-t.C:
 			}
 		}
 		c.first = true
 		select {
 		case <-c.stop:
-			return nil, errPeriscopeClosed
+			return errPeriscopeClosed
 		default:
 		}
-		batch, err := c.poll()
-		if err != nil {
-			return nil, err
+		if err := c.poll(b); err != nil {
+			b.Reset() // a failed round delivers nothing
+			return err
 		}
-		if len(batch) > 0 {
-			return batch, nil
+		if len(b.Events) > 0 {
+			return nil
 		}
 	}
 }
 
-// poll runs one round over every LG and watched prefix.
-func (c *periscopeConn) poll() ([]feedtypes.Event, error) {
+// poll runs one round over every LG and watched prefix, appending the
+// changes to b. Answers carry freshly decoded paths, which pass to the
+// batch as is.
+func (c *periscopeConn) poll(b *feedtypes.Batch) error {
 	watch := c.cfg.Filter().Prefixes
 	now := c.cfg.Now()
-	changed := c.buf[:0]
-	defer func() { c.buf = changed }()
 	for _, lgID := range c.lgs {
 		for _, watched := range watch {
 			answers, err := periscope.HTTPQuery(c.base, lgID, watched)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			current := map[string]bool{}
 			for _, a := range answers {
@@ -155,7 +152,7 @@ func (c *periscopeConn) poll() ([]feedtypes.Event, error) {
 					continue
 				}
 				c.state[key] = lgAnswer{sig: sig, vp: vp}
-				changed = append(changed, feedtypes.Event{
+				b.Append(feedtypes.Event{
 					Source:       periscope.SourceName,
 					Collector:    lgID,
 					VantagePoint: vp,
@@ -177,7 +174,7 @@ func (c *periscopeConn) poll() ([]feedtypes.Event, error) {
 				if err != nil {
 					continue
 				}
-				changed = append(changed, feedtypes.Event{
+				b.Append(feedtypes.Event{
 					Source:       periscope.SourceName,
 					Collector:    lgID,
 					VantagePoint: prev.vp,
@@ -189,7 +186,7 @@ func (c *periscopeConn) poll() ([]feedtypes.Event, error) {
 			}
 		}
 	}
-	return changed, nil
+	return nil
 }
 
 func (c *periscopeConn) Close() error {

@@ -11,38 +11,46 @@ import (
 	"artemis/internal/prefix"
 )
 
-// These are the regression tests for the queued-batch retention bug: the
-// supervisor's per-source queue used to hold the producer's own slice,
-// so a producer that recycles its batch storage — a feed releasing its
-// pooled publish batch, a Conn reusing its Recv buffer — would overwrite
-// events the forwarder had not yet delivered. Poisoning released batches
-// turns that corruption deterministic: if the queue retains producer
-// storage, the collector observes PoisonPrefix/PoisonASN sentinels
-// instead of the published events.
+// These tests hold the supervisor to the single-owner batch rule: a
+// batch is written once (by the conn's decode, or by the one copy at the
+// hub boundary), handed on without copies, and released exactly once by
+// whoever owns it last — the delivery target, or the supervisor itself
+// when it sheds or fully dedups the batch. Every pool involved poisons
+// released storage, so reading a batch after its release shows up as
+// PoisonPrefix/PoisonASN sentinels, and a second release panics.
 
 // checkNotPoisoned fails the test if any collected event carries poison
-// sentinels or diverges from the expected per-index identity.
+// sentinels.
 func checkNotPoisoned(t *testing.T, evs []feedtypes.Event) {
 	t.Helper()
 	for i := range evs {
 		if evs[i].Prefix == feedtypes.PoisonPrefix || evs[i].Source == "poisoned" {
-			t.Fatalf("event %d is poisoned — the queue retained released producer storage: %+v", i, evs[i])
+			t.Fatalf("event %d is poisoned — a batch was read after its release: %+v", i, evs[i])
 		}
 		for _, as := range evs[i].Path {
 			if as == feedtypes.PoisonASN {
-				t.Fatalf("event %d path holds the poison ASN — its arena was recycled while queued: %v", i, evs[i].Path)
+				t.Fatalf("event %d path holds the poison ASN — its arena was recycled while in use: %v", i, evs[i].Path)
 			}
 		}
 	}
 }
 
+// poisonedSupervisor builds a supervisor whose batch pool poisons
+// released storage.
+func poisonedSupervisor(deliver func(*feedtypes.Batch), cfg ingest.Config) *ingest.Supervisor {
+	sup := ingest.New(deliver, cfg)
+	sup.Pool().SetPoison(true)
+	return sup
+}
+
 // TestQueuedBatchSurvivesPublisherRelease publishes pooled, poisoned
 // batches through a hub into an asynchronous in-process source, releasing
 // each batch the moment Publish returns — exactly the feed lifecycle. The
-// supervisor's queue must deliver intact copies, not the recycled storage.
+// supervisor copies at the hub boundary, so its queue delivers intact
+// events, not the publisher's recycled storage.
 func TestQueuedBatchSurvivesPublisherRelease(t *testing.T) {
 	var got collector
-	sup := ingest.New(got.deliver, ingest.Config{QueueDepth: 64, DedupTTL: -1})
+	sup := poisonedSupervisor(got.deliver, ingest.Config{QueueDepth: 64, DedupTTL: -1})
 	defer sup.Close()
 
 	hub := hubSource{Hub: feedtypes.NewHub(), name: "pooled"}
@@ -83,44 +91,80 @@ func TestQueuedBatchSurvivesPublisherRelease(t *testing.T) {
 	}
 }
 
-// reuseConn is a finite Conn that rebuilds every batch in ONE reused
-// buffer — the strongest form of the "batch valid only until the next
-// Recv" contract. Before handing out batch i it first smashes the buffer
-// with poison, so a supervisor that queued the previous return value by
-// reference delivers garbage.
-type reuseConn struct {
-	i   int
-	n   int
-	buf []feedtypes.Event
+// trackConn is a finite Conn that decodes n four-event batches straight
+// into the batches the supervisor passes to Recv, and remembers the
+// storage of every batch it filled. With dup set, each batch repeats the
+// previous one's route changes on odd calls, so cross-source dedup
+// suppresses it whole. Recv runs on the source's dial goroutine; the
+// test reads the tracking state only after Supervisor.Wait.
+type trackConn struct {
+	n, i int
+	dup  bool
+	// filled maps every batch this conn filled to its events as last
+	// filled; reused counts Recv calls handed a batch filled before — the
+	// pool only hands out released batches, so each is a release.
+	filled map[*feedtypes.Batch][]feedtypes.Event
+	reused int
 }
 
-func (c *reuseConn) Recv() ([]feedtypes.Event, error) {
+func (c *trackConn) Recv(b *feedtypes.Batch) error {
 	if c.i >= c.n {
-		return nil, ingest.ErrDone
+		return ingest.ErrDone
 	}
-	for j := range c.buf { // poison the previous batch in place
-		c.buf[j] = feedtypes.Event{Source: "poisoned", Prefix: feedtypes.PoisonPrefix}
+	if _, ok := c.filled[b]; ok {
+		c.reused++
 	}
-	c.buf = c.buf[:0]
+	k := c.i
+	if c.dup {
+		k = c.i / 2
+	}
 	for j := 0; j < 4; j++ {
-		c.buf = append(c.buf, ev(100, fmt.Sprintf("10.%d.%d.0/24", c.i, j), time.Duration(c.i)*time.Millisecond, 666))
+		path := b.NewPath(3)
+		path[0], path[1], path[2] = 100, 2000, bgp.ASN(61000+k)
+		at := time.Duration(k) * time.Millisecond
+		b.Append(feedtypes.Event{
+			Source: "track", Collector: "c0", VantagePoint: 100, Kind: feedtypes.Announce,
+			Prefix: prefix.MustParse(fmt.Sprintf("10.%d.%d.0/24", k, j)),
+			Path:   path, SeenAt: at, EmittedAt: at,
+		})
 	}
+	c.filled[b] = b.Events
 	c.i++
-	return c.buf, nil
+	return nil
 }
 
-func (c *reuseConn) Close() error { return nil }
+func (c *trackConn) Close() error { return nil }
 
-// TestDialConnMayReuseRecvBuffer verifies the dial path honors the Conn
-// contract: batches queued from a connection that overwrites its Recv
-// buffer must still be delivered intact and in order.
-func TestDialConnMayReuseRecvBuffer(t *testing.T) {
+// checkAllReleased fails unless every batch the conn filled ended up
+// back in the poisoned pool: its storage as last filled now holds the
+// poison sentinels.
+func (c *trackConn) checkAllReleased(t *testing.T) {
+	t.Helper()
+	for b, evs := range c.filled {
+		if evs[0].Source != "poisoned" || evs[0].Prefix != feedtypes.PoisonPrefix {
+			t.Fatalf("batch %p was never released (leaked): %+v", b, evs[0])
+		}
+	}
+}
+
+// runTracked supervises one trackConn source until it finishes and the
+// supervisor closes, returning the conn for inspection.
+func runTracked(t *testing.T, sup *ingest.Supervisor, conn *trackConn, opts ...ingest.SourceOption) ingest.SourceID {
+	t.Helper()
+	conn.filled = make(map[*feedtypes.Batch][]feedtypes.Event)
+	return sup.AddDialer("track", ingest.DialFunc(func() (ingest.Conn, error) { return conn, nil }), opts...)
+}
+
+// TestDialBatchHandedOverAndReleased: on the dial path the conn's decode
+// is the only write of an event. The supervisor queues that same batch
+// and hands it to deliver, which receives it intact and in order and
+// releases it; every batch returns to the pool exactly once.
+func TestDialBatchHandedOverAndReleased(t *testing.T) {
 	var got collector
-	sup := ingest.New(got.deliver, ingest.Config{QueueDepth: 2, DedupTTL: -1})
+	sup := poisonedSupervisor(got.deliver, ingest.Config{QueueDepth: 2, DedupTTL: -1})
 	const n = 64
-	sup.AddDialer("reuse", ingest.DialFunc(func() (ingest.Conn, error) {
-		return &reuseConn{n: n}, nil
-	}), ingest.Blocking())
+	conn := &trackConn{n: n}
+	runTracked(t, sup, conn, ingest.Blocking())
 	sup.Wait()
 	sup.Close()
 
@@ -131,8 +175,73 @@ func TestDialConnMayReuseRecvBuffer(t *testing.T) {
 	checkNotPoisoned(t, evs)
 	for i, e := range evs {
 		want := prefix.MustParse(fmt.Sprintf("10.%d.%d.0/24", i/4, i%4))
-		if e.Prefix != want {
-			t.Fatalf("event %d out of order or corrupted: got %s want %s", i, e.Prefix, want)
+		if e.Prefix != want || e.Path[2] != bgp.ASN(61000+i/4) {
+			t.Fatalf("event %d out of order or corrupted: got %s %v want %s", i, e.Prefix, e.Path, want)
 		}
 	}
+	conn.checkAllReleased(t)
+	if conn.reused == 0 {
+		t.Fatal("no batch was ever recycled to the conn — delivered batches are not released")
+	}
+}
+
+// TestShedBatchesReleased: batches the supervisor drops instead of
+// delivering — queue shed, rate shed, fully deduplicated — are released
+// by the supervisor, never leaked and never released twice.
+func TestShedBatchesReleased(t *testing.T) {
+	const n = 200
+	t.Run("queue", func(t *testing.T) {
+		wedge := make(chan struct{})
+		var got collector
+		sup := poisonedSupervisor(func(b *feedtypes.Batch) {
+			<-wedge // hold the forwarder so the queue overflows
+			got.deliver(b)
+		}, ingest.Config{QueueDepth: 1, DedupTTL: -1})
+		conn := &trackConn{n: n}
+		id := runTracked(t, sup, conn)
+		waitFor(t, "source finished", func() bool { return sup.SourceState(id) == ingest.StateFinished })
+		close(wedge)
+		sup.Wait()
+		sup.Close()
+		s := sup.Snapshot().Sources[0]
+		if s.Drops == 0 {
+			t.Fatal("queue never shed; the test did not exercise the drop path")
+		}
+		if int64(got.count())+s.Drops != n*4 {
+			t.Fatalf("delivered %d + dropped %d != %d", got.count(), s.Drops, n*4)
+		}
+		checkNotPoisoned(t, got.all())
+		conn.checkAllReleased(t)
+	})
+	t.Run("rate", func(t *testing.T) {
+		var got collector
+		sup := poisonedSupervisor(got.deliver, ingest.Config{QueueDepth: 256, DedupTTL: -1})
+		conn := &trackConn{n: n}
+		runTracked(t, sup, conn, ingest.RateLimit(1)) // the burst admits 512 events
+		sup.Wait()
+		sup.Close()
+		s := sup.Snapshot().Sources[0]
+		if s.RateShed == 0 {
+			t.Fatal("rate limit never shed; the test did not exercise the shed path")
+		}
+		if int64(got.count())+s.RateShed+s.Drops != n*4 {
+			t.Fatalf("delivered %d + shed %d + dropped %d != %d", got.count(), s.RateShed, s.Drops, n*4)
+		}
+		checkNotPoisoned(t, got.all())
+		conn.checkAllReleased(t)
+	})
+	t.Run("dedup", func(t *testing.T) {
+		var got collector
+		sup := poisonedSupervisor(got.deliver, ingest.Config{QueueDepth: 4, DedupTTL: time.Hour})
+		conn := &trackConn{n: n, dup: true}
+		runTracked(t, sup, conn, ingest.Blocking())
+		sup.Wait()
+		sup.Close()
+		s := sup.Snapshot().Sources[0]
+		if got.count() != n/2*4 || s.DedupHits != n/2*4 {
+			t.Fatalf("delivered %d, dedup hits %d; want %d each", got.count(), s.DedupHits, n/2*4)
+		}
+		checkNotPoisoned(t, got.all())
+		conn.checkAllReleased(t)
+	})
 }

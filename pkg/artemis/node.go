@@ -80,10 +80,10 @@ type Node struct {
 	feedSubs   map[*EventStreamSub]struct{}
 	feedClosed bool
 	feedTaps   atomic.Int32
-	// injectPool recycles Inject's submission batches: the pipeline copies
-	// every batch during Submit, so Inject can build observations in
-	// pooled storage and release it immediately — a caller-side inject
-	// loop allocates nothing per call at steady state.
+	// injectPool supplies Inject's batches: Inject builds observations in
+	// one and hands it to the pipeline, which releases it back here after
+	// applying it — a caller-side inject loop allocates nothing per call
+	// at steady state.
 	injectPool *feedtypes.BatchPool
 
 	// union is the current feed-filter prefix union across all tenants,
@@ -443,24 +443,23 @@ func (n *Node) filterProvider() feedtypes.Filter {
 }
 
 // deliver is the ingest supervisor's sink: every post-dedup batch
-// enters the detection pipeline and, when enabled, the archive
-// recorder and the event firehose. Both taps stay off the hot path
-// when unused — with no recorder configured and no stream subscribers
-// this is exactly n.pl.Submit, and the recorder itself copies into
-// pooled storage without blocking on I/O.
-func (n *Node) deliver(evs []feedtypes.Event) {
-	n.pl.Submit(evs)
+// feeds, when enabled, the route table, the archive recorder and the
+// event firehose, then enters the detection pipeline. The taps read
+// the batch first because Submit takes it over (the pipeline releases
+// it once applied); each tap copies what it keeps. They stay off the
+// hot path when unused — with no RIB, no recorder and no stream
+// subscribers this is exactly n.pl.Submit.
+func (n *Node) deliver(b *feedtypes.Batch) {
 	if n.rib != nil {
-		// Fold the batch into the route table (its own lock; paths are
-		// deep-copied there because batch storage is pooled).
-		n.rib.Apply(evs)
+		n.rib.Apply(b.Events)
 	}
 	if n.rec != nil {
-		n.rec.Record(evs)
+		n.rec.Record(b.Events)
 	}
 	if n.feedTaps.Load() > 0 {
-		n.fanOutEvents(evs)
+		n.fanOutEvents(b.Events)
 	}
+	n.pl.Submit(b)
 }
 
 // EventStreamSub is one bounded tap on the node's post-dedup feed
@@ -542,7 +541,7 @@ func (n *Node) SubscribeEvents(tenant string, buffer int) (*EventStreamSub, erro
 
 // fanOutEvents copies the batch to every stream subscriber whose scope
 // matches. Path slices are copied once per event (not per subscriber)
-// because the batch storage is recycled after deliver returns;
+// because the batch is handed to the pipeline, which recycles it;
 // subscribers may hold events indefinitely.
 func (n *Node) fanOutEvents(evs []feedtypes.Event) {
 	n.feedMu.Lock()
@@ -1684,16 +1683,17 @@ type RouteObservation struct {
 // Inject feeds observations straight into the detection pipeline,
 // bypassing the ingest supervisor (no cross-source dedup). Observations
 // are stamped with the node clock and fan out to every tenant whose
-// space they match. The pipeline copies the batch during Submit, so
-// Inject builds it in pooled storage and recycles it before returning —
+// space they match. Inject builds them in a pooled batch, folds it into
+// the route table (when enabled), and hands it to the pipeline, which
+// recycles it —
 // a steady inject loop performs no per-call allocations
-// (docs/PERFORMANCE.md).
+// (docs/PERFORMANCE.md). The observations passed in are never retained.
 func (n *Node) Inject(obs ...RouteObservation) error {
 	batch := n.injectPool.Get()
-	defer batch.Release()
 	for _, o := range obs {
 		p, err := prefix.Parse(o.Prefix)
 		if err != nil {
+			batch.Release()
 			return fmt.Errorf("artemis: bad prefix %q: %v", o.Prefix, err)
 		}
 		ev := feedtypes.Event{
@@ -1722,10 +1722,10 @@ func (n *Node) Inject(obs ...RouteObservation) error {
 		}
 		batch.Append(ev)
 	}
-	n.pl.Submit(batch.Events)
 	if n.rib != nil {
 		n.rib.Apply(batch.Events)
 	}
+	n.pl.Submit(batch)
 	return nil
 }
 
